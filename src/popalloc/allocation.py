@@ -14,12 +14,17 @@ boundaries (see :mod:`popalloc.formats`).
 from __future__ import annotations
 
 import enum
+import math
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 
 from .errors import InfeasibleCapacity, InternalInvariantError, ZeroAudience
 
 MBPS = 1_000_000.0
+
+# Largest cascade overshoot, as a fraction of capacity, put down to float
+# rounding rather than to a bug.
+ROUNDING_SLACK = 1e-9
 
 
 class Scheme(enum.Enum):
@@ -55,6 +60,9 @@ class SystemParams:
     min_session_rate: float
 
     def __post_init__(self) -> None:
+        for name in ("capacity", "max_session_rate", "min_session_rate"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.capacity > 0:
             raise ValueError(f"capacity must be positive, got {self.capacity}")
         if not 0 < self.min_session_rate <= self.max_session_rate:
@@ -78,7 +86,7 @@ class SessionCount:
     users: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.users, int) or self.users < 0:
+        if not isinstance(self.users, int) or isinstance(self.users, bool) or self.users < 0:
             raise ValueError(
                 f"user count must be a non-negative integer, got {self.users!r} "
                 f"for session {self.session_id!r}"
@@ -264,7 +272,10 @@ def popularity_allocate(
     the sessions still waiting; those splits are the carries.
 
     Returns the allocation (entries in rank order) and the cascade ledger.
-    Raises :class:`InfeasibleCapacity` when even the floor does not fit. An
+    Raises :class:`InfeasibleCapacity` when even the floor does not fit. The
+    last rank cannot overflow in exact arithmetic; an overshoot there within
+    ``ROUNDING_SLACK`` of capacity is float rounding and is clamped to the
+    cap, a larger one raises :class:`InternalInvariantError`. An
     all-empty census in the constrained regime falls back to a uniform
     split, which by regime definition lies between floor and cap.
     """
@@ -304,16 +315,18 @@ def popularity_allocate(
     for position, entry in enumerate(ranked.entries, start=1):
         claim = coefficient * entry.users + carry_sum
         if claim >= headroom:
-            if position == session_count:
-                # Ranked input provably never overflows at the last rank;
-                # reaching this would silently drop bandwidth.
-                raise InternalInvariantError(
-                    f"cascade overflow at final rank (claim {claim} >= headroom {headroom})"
-                )
             entries_out.append(SessionRate(entry.session_id, params.max_session_rate))
-            carry = (claim - headroom) / (session_count - position)
-            carries.append(carry)
-            carry_sum += carry
+            if position < session_count:
+                carry = (claim - headroom) / (session_count - position)
+                carries.append(carry)
+                carry_sum += carry
+            elif claim - headroom > ROUNDING_SLACK * params.capacity:
+                # Ranked input provably never overflows at the last rank;
+                # beyond float rounding, clamping would silently drop
+                # bandwidth.
+                raise InternalInvariantError(
+                    f"cascade overflow at final rank (claim {claim} > headroom {headroom})"
+                )
         else:
             entries_out.append(
                 SessionRate(entry.session_id, params.min_session_rate + claim)

@@ -1,7 +1,7 @@
 """Command-line front end: one-shot allocation, trace replay, and sweeps.
 
 Exit codes: 0 success, 2 infeasible configuration, 3 input parse error,
-4 I/O error.
+4 I/O error, 5 internal error (a bug, reported without a traceback).
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from .allocation import (
 from .errors import (
     DocumentError,
     InfeasibleCapacity,
+    InternalInvariantError,
     ProfileInfeasible,
     TraceOrder,
 )
@@ -29,6 +30,7 @@ from .formats import (
     load_trace,
     parse_scenario_document,
     trace_result_document,
+    write_text_atomic,
 )
 from .harness import ScenarioConfig, emit_sweep_outputs, random_census, run_sweep
 from .layers import LayerProfile, check_profile_fits, quantize_allocation
@@ -43,6 +45,7 @@ EXIT_OK = 0
 EXIT_INFEASIBLE = 2
 EXIT_PARSE = 3
 EXIT_IO = 4
+EXIT_INTERNAL = 5
 
 
 def _add_param_flags(parser: argparse.ArgumentParser) -> None:
@@ -169,7 +172,7 @@ def _write_output(text: str, out: str | None) -> None:
     path = Path(out)
     if path.parent != Path(""):
         path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
+    write_text_atomic(path, text)
 
 
 def _parse_session_range(text: str) -> tuple[int, ...]:
@@ -286,6 +289,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except InternalInvariantError as exc:
+        print(f"error: internal: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -1,15 +1,17 @@
 """File formats: scenario documents, trace files, snapshot dumps, sweep CSV.
 
 All documents carry rates in Mbps; conversion to the internal bits/second
-happens here and nowhere else. JSON output is sorted and floats use the
-shortest round-trip representation, so identical inputs produce
-byte-identical files.
+happens here and nowhere else. JSON output is exactly
+``json.dumps(doc, sort_keys=True, indent=2)`` plus a newline: sorted keys and
+shortest round-trip floats, so identical inputs produce byte-identical files.
 """
 
 from __future__ import annotations
 
 import json
-from collections.abc import Iterable, Sequence
+import os
+from collections.abc import Callable, Iterable, Sequence
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
 from typing import Any
 
@@ -63,10 +65,6 @@ def parse_scenario_document(text: str) -> tuple[SystemParams, SessionCensus]:
     except ValueError as exc:
         raise DocumentError(str(exc)) from exc
     return params, census
-
-
-def load_scenario_document(path: Path | str) -> tuple[SystemParams, SessionCensus]:
-    return parse_scenario_document(Path(path).read_text())
 
 
 def allocation_document(
@@ -222,5 +220,111 @@ def trace_result_document(result: TraceResult) -> dict:
     }
 
 
-def dump_json(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+_PLAIN = frozenset((str, int, float, bool, type(None)))
+_CONTAINERS = frozenset((dict, list, tuple))
+_STR = frozenset((str,))
+
+
+def _chunk_encoder(item_separator: str) -> Callable[[Any, int], Sequence[str]]:
+    """A sorted-key encoder with no newlines of its own, returning chunks to
+    join: the caller puts the newline and indent of a depth into
+    ``item_separator``."""
+    encoder = json.JSONEncoder(sort_keys=True, separators=(item_separator, ": "))
+    if c_make_encoder is None:
+        return lambda o, _level: (encoder.encode(o),)
+    # The arguments JSONEncoder.iterencode passes, minus the circular-check
+    # markers: callers hand it only scalars and containers at most two deep.
+    return c_make_encoder(
+        None, encoder.default, encode_basestring_ascii, None,
+        ": ", item_separator, True, False, True,
+    )
+
+
+def _is_plain(values: Iterable[Any]) -> bool:
+    return _PLAIN.issuperset(map(type, values))
+
+
+def dump_json(doc: Any) -> str:
+    """Exactly ``json.dumps(doc, sort_keys=True, indent=2) + "\n"``, faster.
+
+    The stdlib encodes with ``indent`` in pure Python. Here every container
+    of plain scalars, and every list of flat rows, is one call to the C
+    encoder with the newline and indent of its depth in the item separator;
+    only the brackets are placed by hand. Encoded strings hold no raw
+    newline, so ``"},\n" + indent + "{"`` can only be a row boundary. Other
+    containers are walked here; a value of any other type (a subclass, say)
+    and a dict with a non-string key are left to the stdlib.
+    """
+    encoders: dict[int, Callable[[Any, int], Sequence[str]]] = {}
+    scalar = _chunk_encoder(",")
+    out: list[str] = []
+
+    def encode(o: Any, depth: int) -> str:
+        if depth not in encoders:
+            encoders[depth] = _chunk_encoder(",\n" + "  " * depth)
+        return "".join(encoders[depth](o, 0))
+
+    def write(o: Any, depth: int) -> None:
+        kind = type(o)
+        if kind in _PLAIN or (kind in _CONTAINERS and not o):
+            out.append("".join(scalar(o, 0)))
+            return
+        outer, inner = "\n" + "  " * depth, "\n" + "  " * (depth + 1)
+        if kind not in _CONTAINERS or (kind is dict and not _STR.issuperset(map(type, o))):
+            out.append(json.dumps(o, sort_keys=True, indent=2).replace("\n", outer))
+            return
+        if _is_plain(o.values() if kind is dict else o):
+            text = encode(o, depth + 1)
+            out.extend((text[0], inner, text[1:-1], outer, text[-1]))
+            return
+        if kind is not dict and all(
+            type(row) is dict and row and _is_plain(row.values()) for row in o
+        ):
+            innermost = inner + "  "
+            text = encode(o, depth + 2).replace(
+                "}," + innermost + "{", inner + "}," + inner + "{" + innermost
+            )
+            out.extend(("[", inner, "{", innermost, text[2:-2], inner, "}", outer, "]"))
+            return
+        if kind is dict:
+            opener, closer = "{", "}"
+            items = [
+                (inner + encode_basestring_ascii(key) + ": ", value)
+                for key, value in sorted(o.items())
+            ]
+        else:
+            opener, closer = "[", "]"
+            items = [(inner, value) for value in o]
+        for i, (head, value) in enumerate(items):
+            head = ("," if i else opener) + head
+            if type(value) in _PLAIN:
+                out.append(head + "".join(scalar(value, 0)))
+            else:
+                out.append(head)
+                write(value, depth + 1)
+        out.extend((outer, closer))
+
+    write(doc, 0)
+    out.append("\n")
+    return "".join(out)
+
+
+def write_text_atomic(path: Path | str, text: str) -> None:
+    """Replace the file at ``path`` with ``text`` in one step.
+
+    The text goes to a temporary file beside the target, which ``os.replace``
+    then moves over it, so a crash leaves either the old file or the new one,
+    never a partial one. A symlink is followed; a target that is not a
+    regular file (a device such as ``/dev/null``, a pipe) is written in place.
+    """
+    path = Path(path).resolve()
+    if path.exists() and not path.is_file():
+        path.write_text(text)
+        return
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

@@ -255,13 +255,14 @@ def emit_sweep_outputs(
     """Write the sweep CSV and its run manifest next to it.
 
     For ``out/sweep.csv`` the manifest lands at ``out/sweep.manifest.json``.
-    Returns both paths. I/O errors surface with the path attached.
+    Returns both paths. Each file is replaced in one step, so a crash never
+    leaves a partial one. I/O errors surface with the path attached.
     """
-    from .formats import dump_json
+    from .formats import dump_json, write_text_atomic
 
     csv_path = Path(destination)
     manifest_path = csv_path.with_suffix(".manifest.json")
     csv_path.parent.mkdir(parents=True, exist_ok=True)
-    csv_path.write_text(sweep_csv_text(rows))
-    manifest_path.write_text(dump_json(run_manifest(config, rows)))
+    write_text_atomic(csv_path, sweep_csv_text(rows))
+    write_text_atomic(manifest_path, dump_json(run_manifest(config, rows)))
     return csv_path, manifest_path

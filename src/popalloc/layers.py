@@ -7,6 +7,7 @@ uniform enhancement layers as fit underneath the allocated rate.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
@@ -26,11 +27,11 @@ class LayerProfile:
     max_layers: int | None = None
 
     def __post_init__(self) -> None:
-        if not self.base_rate > 0:
-            raise ValueError(f"base_rate must be positive, got {self.base_rate}")
-        if not self.enhancement_rate > 0:
+        if not 0 < self.base_rate < math.inf:
+            raise ValueError(f"base_rate must be positive and finite, got {self.base_rate}")
+        if not 0 < self.enhancement_rate < math.inf:
             raise ValueError(
-                f"enhancement_rate must be positive, got {self.enhancement_rate}"
+                f"enhancement_rate must be positive and finite, got {self.enhancement_rate}"
             )
         if self.max_layers is not None and self.max_layers < 0:
             raise ValueError(f"max_layers must be >= 0, got {self.max_layers}")

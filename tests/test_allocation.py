@@ -6,10 +6,12 @@ from hypothesis import given, settings
 
 from popalloc import (
     InfeasibleCapacity,
+    InternalInvariantError,
     RankedCensus,
     Regime,
     Scheme,
     SessionCensus,
+    SessionCount,
     SystemParams,
     ZeroAudience,
     classify_regime,
@@ -75,6 +77,15 @@ def test_params_validation():
         SystemParams(10.0, 2.0, 0.0)
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("field", [0, 1, 2])
+def test_params_reject_non_finite(field, bad):
+    values = [30.0, 2.0, 0.6]
+    values[field] = bad
+    with pytest.raises(ValueError, match="finite"):
+        SystemParams.from_mbps(*values)
+
+
 # ---------------------------------------------------------------------------
 # ranking
 # ---------------------------------------------------------------------------
@@ -114,6 +125,12 @@ def test_census_validation():
         SessionCensus.from_counts([("s1", -1)])
     with pytest.raises(ValueError):
         SessionCensus.from_counts([("s1", 1.5)])
+
+
+@pytest.mark.parametrize("users", [True, False])
+def test_session_count_rejects_bool(users):
+    with pytest.raises(ValueError):
+        SessionCount("s1", users)
 
 
 def test_ranked_census_rejects_increasing_counts():
@@ -191,6 +208,30 @@ def test_two_session_cascade_ledger():
     assert ledger.headroom == 1.4e6
     assert len(ledger.carries) == 1
     assert ledger.carries[0] == pytest.approx(0.31e6, rel=1e-12)
+
+
+def test_final_rank_overshoot_within_rounding_is_clamped():
+    # Capacity one ulp below M * cap: the carries round the final claim up
+    # to exactly the headroom, which used to raise InternalInvariantError.
+    params = SystemParams.from_mbps(7.999999999999999, 2, 0.6)
+    census = census_of([3, 33, 43, 3])
+    allocation, ledger = popularity_allocate(params, rank_sessions(census))
+    assert allocation.regime is Regime.CONSTRAINED
+    assert [e.rate for e in allocation.entries] == [params.max_session_rate] * 4
+    assert len(ledger.carries) == 3
+    assert_allocation_invariants(params, census, allocation)
+
+
+def test_final_rank_overshoot_beyond_rounding_raises(monkeypatch):
+    import popalloc.allocation as allocation_module
+
+    params = SystemParams.from_mbps(3, 2, 0.6)
+    # A coefficient far too large overflows every rank, the last one too.
+    monkeypatch.setattr(
+        allocation_module, "surplus_coefficients", lambda p, c: (1e9, 1.4e6)
+    )
+    with pytest.raises(InternalInvariantError, match="final rank"):
+        popularity_allocate(params, rank_sessions(census_of([190, 10])))
 
 
 def test_uniform_counts_match_even_split(reference_params):

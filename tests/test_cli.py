@@ -108,6 +108,61 @@ def test_allocate_base_layer_above_floor_exits_2(scenario_path):
     assert code == 2
 
 
+def test_allocate_at_float_boundary_succeeds(tmp_path, capsys):
+    # Capacity one ulp below M * cap used to crash the cascade's final rank.
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario_doc([3, 33, 43, 3], capacity=7.999999999999999)))
+    assert main(["allocate", "--input", str(path)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert [s["rate_mbps"] for s in doc["sessions"]] == [2.0] * 4
+
+
+def test_internal_error_exits_5_without_traceback(scenario_path, monkeypatch, capsys):
+    import popalloc.cli as cli_module
+    from popalloc import InternalInvariantError
+
+    def broken(params, ranked):
+        raise InternalInvariantError("cascade overflow at final rank")
+
+    monkeypatch.setattr(cli_module, "popularity_allocate", broken)
+    assert main(["allocate", "--input", str(scenario_path)]) == 5
+    err = capsys.readouterr().err
+    assert err == "error: internal: cascade overflow at final rank\n"
+
+
+@pytest.mark.parametrize("field", ["capacity_mbps", "beta_max_mbps", "beta_min_mbps"])
+@pytest.mark.parametrize("bad", ["Infinity", "-Infinity", "NaN"])
+def test_allocate_non_finite_document_exits_3(tmp_path, capsys, field, bad):
+    path = tmp_path / "scenario.json"
+    text = json.dumps(scenario_doc()).replace(f'"{field}": ', f'"{field}": {bad}, "x": ', 1)
+    path.write_text(text)
+    assert main(["allocate", "--input", str(path)]) == 3
+    assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag",
+    ["--capacity-mbps", "--beta-max-mbps", "--beta-min-mbps", "--base-layer-mbps", "--enh-layer-mbps"],
+)
+@pytest.mark.parametrize("bad", ["inf", "-inf", "nan"])
+def test_allocate_non_finite_flag_exits_3(scenario_path, capsys, flag, bad):
+    assert main(["allocate", "--input", str(scenario_path), f"{flag}={bad}"]) == 3
+    assert "finite" in capsys.readouterr().err
+
+
+def test_failed_write_keeps_existing_output(scenario_path, tmp_path, monkeypatch):
+    out = tmp_path / "allocation.json"
+    out.write_text("previous run\n")
+
+    def no_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr("popalloc.formats.os.replace", no_replace)
+    assert main(["allocate", "--input", str(scenario_path), "--out", str(out)]) == 4
+    assert out.read_text() == "previous run\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["allocation.json", "scenario.json"]
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
@@ -182,6 +237,20 @@ def test_sweep_writes_csv_and_manifest(tmp_path, capsys):
     assert len(lines) == 4
     manifest = json.loads((tmp_path / "sweep.manifest.json").read_text())
     assert manifest["session_counts"] == [18, 19, 20]
+
+
+def test_sweep_failed_write_keeps_existing_outputs(tmp_path, monkeypatch):
+    out = tmp_path / "sweep.csv"
+    args = ["sweep", *PARAM_FLAGS, "--sessions", "20", "--users", "200", "--out", str(out)]
+    assert main(args) == 0
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+    def no_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr("popalloc.formats.os.replace", no_replace)
+    assert main([*args, "--seed", "1"]) == 4
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 def test_sweep_single_m(tmp_path):
