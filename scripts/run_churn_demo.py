@@ -51,8 +51,8 @@ def main() -> None:
         top_rate = snap.popularity.entries[0].rate / 1e6
         print(
             f"{snap.time:>8.2f} {label:>22} {snap.census.total_users:>6} "
-            f"{top_rate:>9.3f} {snap.satisfaction_popularity.average:>9.4f} "
-            f"{snap.satisfaction_equal.average:>7.4f} "
+            f"{top_rate:>9.3f} {snap.comparison.avg_satisfaction_popularity:>9.4f} "
+            f"{snap.comparison.avg_satisfaction_equal:>7.4f} "
             f"{plan_total_rate(snap.plans) / 1e6:>8.3f}"
         )
     if result.rejections:

@@ -54,11 +54,13 @@ from .layers import (
     quantize_allocation,
 )
 from .satisfaction import (
+    Evaluation,
     SatisfactionReport,
     SchemeComparison,
     average_satisfaction,
     compare_schemes,
     equal_share_satisfaction,
+    evaluate,
     satisfaction_report,
     session_satisfaction,
 )
@@ -83,6 +85,7 @@ __all__ = [
     "DocumentError",
     "DuplicateSession",
     "EmptySession",
+    "Evaluation",
     "EventKind",
     "InfeasibleCapacity",
     "InternalInvariantError",
@@ -120,6 +123,7 @@ __all__ = [
     "equal_share_allocate",
     "equal_share_rate",
     "equal_share_satisfaction",
+    "evaluate",
     "generate_trace",
     "plan_total_rate",
     "popularity_allocate",

@@ -17,6 +17,7 @@ import enum
 import math
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import InfeasibleCapacity, InternalInvariantError, ZeroAudience
 
@@ -93,14 +94,6 @@ class SessionCount:
             )
 
 
-def _check_unique_ids(entries: tuple[SessionCount, ...]) -> None:
-    seen: set[str] = set()
-    for entry in entries:
-        if entry.session_id in seen:
-            raise ValueError(f"duplicate session id {entry.session_id!r}")
-        seen.add(entry.session_id)
-
-
 @dataclass(frozen=True)
 class SessionCensus:
     """Audience snapshot: how many users watch each active session."""
@@ -110,7 +103,11 @@ class SessionCensus:
     def __post_init__(self) -> None:
         if not self.entries:
             raise ValueError("census needs at least one session")
-        _check_unique_ids(self.entries)
+        seen: set[str] = set()
+        for entry in self.entries:
+            if entry.session_id in seen:
+                raise ValueError(f"duplicate session id {entry.session_id!r}")
+            seen.add(entry.session_id)
 
     @classmethod
     def from_counts(
@@ -123,7 +120,7 @@ class SessionCensus:
     def session_count(self) -> int:
         return len(self.entries)
 
-    @property
+    @cached_property
     def total_users(self) -> int:
         return sum(entry.users for entry in self.entries)
 
@@ -132,26 +129,14 @@ class SessionCensus:
 
 
 @dataclass(frozen=True)
-class RankedCensus:
-    """Census entries ordered most-watched first; list position is the rank."""
-
-    entries: tuple[SessionCount, ...]
+class RankedCensus(SessionCensus):
+    """A census ordered most-watched first; list position is the rank."""
 
     def __post_init__(self) -> None:
-        if not self.entries:
-            raise ValueError("ranked census needs at least one session")
-        _check_unique_ids(self.entries)
+        super().__post_init__()
         for prev, cur in zip(self.entries, self.entries[1:]):
             if cur.users > prev.users:
                 raise ValueError("ranked census must have non-increasing user counts")
-
-    @property
-    def session_count(self) -> int:
-        return len(self.entries)
-
-    @property
-    def total_users(self) -> int:
-        return sum(entry.users for entry in self.entries)
 
 
 @dataclass(frozen=True)
@@ -220,7 +205,7 @@ def rank_sessions(census: SessionCensus) -> RankedCensus:
 
 
 def surplus_coefficients(
-    params: SystemParams, census: SessionCensus | RankedCensus
+    params: SystemParams, census: SessionCensus
 ) -> tuple[float, float]:
     """Per-user surplus rate and the floor-to-cap headroom.
 
@@ -242,15 +227,13 @@ def equal_share_rate(params: SystemParams, session_count: int) -> float:
     The baseline deliberately applies no floor; with enough sessions the
     equal split drops below ``min_session_rate``.
     """
-    if session_count < 1:
-        raise ValueError(f"session_count must be >= 1, got {session_count}")
-    if params.max_session_rate * session_count <= params.capacity:
+    if classify_regime(params, session_count) is Regime.SATURATED:
         return params.max_session_rate
     return params.capacity / session_count
 
 
 def equal_share_allocate(
-    params: SystemParams, census: SessionCensus | RankedCensus
+    params: SystemParams, census: SessionCensus
 ) -> Allocation:
     """Equal-share allocation keyed by the census's session ids."""
     rate = equal_share_rate(params, census.session_count)
@@ -276,8 +259,8 @@ def popularity_allocate(
     last rank cannot overflow in exact arithmetic; an overshoot there within
     ``ROUNDING_SLACK`` of capacity is float rounding and is clamped to the
     cap, a larger one raises :class:`InternalInvariantError`. An
-    all-empty census in the constrained regime falls back to a uniform
-    split, which by regime definition lies between floor and cap.
+    all-empty census in the constrained regime falls back to the equal
+    share, which by regime definition lies between floor and cap.
     """
     if not isinstance(ranked, RankedCensus):
         raise TypeError("popularity_allocate needs a RankedCensus; call rank_sessions first")
@@ -289,18 +272,9 @@ def popularity_allocate(
             f"{ranked.session_count * params.min_session_rate / MBPS:g} Mbps of floor, "
             f"capacity is {params.capacity / MBPS:g} Mbps"
         )
-    if regime is Regime.SATURATED:
-        entries = tuple(
-            SessionRate(entry.session_id, params.max_session_rate)
-            for entry in ranked.entries
-        )
-        return Allocation(Scheme.POPULARITY, regime, entries), SurplusLedger(
-            0.0, headroom, ()
-        )
-
     session_count = ranked.session_count
-    if ranked.total_users == 0:
-        uniform = params.capacity / session_count
+    if regime is Regime.SATURATED or ranked.total_users == 0:
+        uniform = equal_share_rate(params, session_count)
         entries = tuple(
             SessionRate(entry.session_id, uniform) for entry in ranked.entries
         )

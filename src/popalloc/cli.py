@@ -10,13 +10,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .allocation import (
-    MBPS,
-    SystemParams,
-    equal_share_rate,
-    popularity_allocate,
-    rank_sessions,
-)
+from .allocation import MBPS, SystemParams
 from .errors import (
     DocumentError,
     InfeasibleCapacity,
@@ -34,11 +28,7 @@ from .formats import (
 )
 from .harness import ScenarioConfig, emit_sweep_outputs, random_census, run_sweep
 from .layers import LayerProfile, check_profile_fits, quantize_allocation
-from .satisfaction import (
-    compare_schemes,
-    equal_share_satisfaction,
-    session_satisfaction,
-)
+from .satisfaction import evaluate
 from .simulation import run_trace
 
 EXIT_OK = 0
@@ -207,32 +197,9 @@ def cmd_allocate(args: argparse.Namespace) -> int:
         )
     profile = _resolve_profile(args, params)
 
-    ranked = rank_sessions(census)
-    allocation, _ = popularity_allocate(params, ranked)
-    per_session = session_satisfaction(params, allocation)
-    plans = quantize_allocation(allocation, profile)
-    comparison = compare_schemes(params, census)
-
-    doc = allocation_document(
-        params,
-        census,
-        allocation,
-        per_session,
-        plans,
-        extras={
-            "equal_share_rate_mbps": equal_share_rate(params, census.session_count) / MBPS,
-            "average_satisfaction": {
-                "popularity": comparison.avg_satisfaction_popularity,
-                "equal_share": equal_share_satisfaction(params, census.session_count),
-            },
-            "comparison": {
-                "improved_users": comparison.improved_users,
-                "degraded_users": comparison.degraded_users,
-                "unchanged_users": comparison.unchanged_users,
-            },
-        },
-    )
-    _write_output(dump_json(doc), args.out)
+    evaluation = evaluate(params, census)
+    plans = quantize_allocation(evaluation.allocation, profile)
+    _write_output(dump_json(allocation_document(params, census, evaluation, plans)), args.out)
     return EXIT_OK
 
 

@@ -15,9 +15,10 @@ from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
 from typing import Any
 
-from .allocation import MBPS, Allocation, SessionCensus, SystemParams
+from .allocation import MBPS, SessionCensus, SystemParams
 from .errors import DocumentError
 from .layers import LayeredPlan
+from .satisfaction import Evaluation
 from .simulation import EventKind, SimEvent, Snapshot, TraceResult
 
 
@@ -70,13 +71,14 @@ def parse_scenario_document(text: str) -> tuple[SystemParams, SessionCensus]:
 def allocation_document(
     params: SystemParams,
     census: SessionCensus,
-    allocation: Allocation,
-    per_session_satisfaction: dict[str, float],
+    evaluation: Evaluation,
     plans: Sequence[LayeredPlan],
-    extras: dict[str, Any],
 ) -> dict:
     """One-shot output: the input document mirrored, each session annotated
-    with its allocated rate, satisfaction, and layer plan."""
+    with its allocated rate, satisfaction, and layer plan, followed by the
+    equal-share rate and the comparison of both schemes."""
+    allocation = evaluation.allocation
+    comparison = evaluation.comparison
     rates = allocation.rates()
     plan_by_id = {plan.session_id: plan for plan in plans}
     rank_by_id = {entry.session_id: i + 1 for i, entry in enumerate(allocation.entries)}
@@ -89,7 +91,7 @@ def allocation_document(
                 "users": entry.users,
                 "rank": rank_by_id[entry.session_id],
                 "rate_mbps": rates[entry.session_id] / MBPS,
-                "satisfaction": per_session_satisfaction[entry.session_id],
+                "satisfaction": evaluation.per_session[entry.session_id],
                 "layers": {
                     "enhancements": plan.enhancement_count,
                     "granted_mbps": plan.granted_rate / MBPS,
@@ -97,15 +99,23 @@ def allocation_document(
                 },
             }
         )
-    doc = {
+    return {
         "capacity_mbps": params.capacity / MBPS,
         "beta_max_mbps": params.max_session_rate / MBPS,
         "beta_min_mbps": params.min_session_rate / MBPS,
         "regime": allocation.regime.value,
         "sessions": sessions,
+        "equal_share_rate_mbps": evaluation.equal_share_rate / MBPS,
+        "average_satisfaction": {
+            "popularity": comparison.avg_satisfaction_popularity,
+            "equal_share": comparison.avg_satisfaction_equal,
+        },
+        "comparison": {
+            "improved_users": comparison.improved_users,
+            "degraded_users": comparison.degraded_users,
+            "unchanged_users": comparison.unchanged_users,
+        },
     }
-    doc.update(extras)
-    return doc
 
 
 def parse_trace(text: str) -> list[SimEvent]:
@@ -162,9 +172,9 @@ def census_to_list(census: SessionCensus) -> list[dict]:
 
 def snapshot_to_dict(snapshot: Snapshot) -> dict:
     """Flatten one snapshot for JSON output, rates in Mbps."""
-    pop_sat = snapshot.satisfaction_popularity.per_session
-    comparison = snapshot.comparison
-    eq_entries = snapshot.equal_share.entries
+    evaluation = snapshot.evaluation
+    pop_sat = evaluation.per_session
+    comparison = evaluation.comparison
     return {
         "t": snapshot.time,
         "regime": snapshot.popularity.regime.value,
@@ -178,12 +188,12 @@ def snapshot_to_dict(snapshot: Snapshot) -> dict:
             for entry in snapshot.popularity.entries
         ],
         "equal_share": {
-            "rate_mbps": eq_entries[0].rate / MBPS,
-            "satisfaction": snapshot.satisfaction_equal.average,
+            "rate_mbps": evaluation.equal_share_rate / MBPS,
+            "satisfaction": comparison.avg_satisfaction_equal,
         },
         "average_satisfaction": {
-            "popularity": snapshot.satisfaction_popularity.average,
-            "equal_share": snapshot.satisfaction_equal.average,
+            "popularity": comparison.avg_satisfaction_popularity,
+            "equal_share": comparison.avg_satisfaction_equal,
         },
         "comparison": {
             "improved_users": comparison.improved_users,

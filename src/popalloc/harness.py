@@ -24,7 +24,7 @@ from .allocation import (
     classify_regime,
 )
 from .layers import LayerProfile
-from .satisfaction import compare_schemes
+from .satisfaction import evaluate
 
 logger = logging.getLogger(__name__)
 
@@ -175,7 +175,7 @@ def run_sweep(config: ScenarioConfig) -> list[SweepRow]:
             census = random_census(
                 m, config.total_users, config.dist, subseed, config.zipf_s
             )
-            result = compare_schemes(config.params, census)
+            result = evaluate(config.params, census).comparison
             eq_values.append(result.avg_satisfaction_equal)
             prop_values.append(result.avg_satisfaction_popularity)
             improved.append(result.improved_users)

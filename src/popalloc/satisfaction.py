@@ -15,7 +15,9 @@ from .allocation import (
     Regime,
     Scheme,
     SessionCensus,
+    SurplusLedger,
     SystemParams,
+    classify_regime,
     equal_share_rate,
     popularity_allocate,
     rank_sessions,
@@ -52,11 +54,27 @@ class SchemeComparison:
         return self.avg_satisfaction_popularity - self.avg_satisfaction_equal
 
 
+@dataclass(frozen=True)
+class Evaluation:
+    """Both schemes scored on one census.
+
+    ``allocation`` is the popularity allocation in rank order, with the
+    cascade's ``ledger``; ``equal_share_rate`` is the one rate every session
+    gets under equal share; ``per_session`` is each session's popularity
+    satisfaction, in rank order; ``comparison`` holds both audience-weighted
+    averages and the improved/degraded/unchanged tallies.
+    """
+
+    allocation: Allocation
+    ledger: SurplusLedger
+    equal_share_rate: float
+    per_session: dict[str, float]
+    comparison: SchemeComparison
+
+
 def equal_share_satisfaction(params: SystemParams, session_count: int) -> float:
-    """Satisfaction of every user under the equal split."""
-    if session_count < 1:
-        raise ValueError(f"session_count must be >= 1, got {session_count}")
-    if params.max_session_rate * session_count <= params.capacity:
+    """Satisfaction of every user under the equal split: ``C / (β_max·M)``."""
+    if classify_regime(params, session_count) is Regime.SATURATED:
         return 1.0
     return params.capacity / (params.max_session_rate * session_count)
 
@@ -65,8 +83,6 @@ def session_satisfaction(
     params: SystemParams, allocation: Allocation
 ) -> dict[str, float]:
     """Per-session satisfaction: allocated rate over the full-quality rate."""
-    if allocation.regime is Regime.SATURATED:
-        return {entry.session_id: 1.0 for entry in allocation.entries}
     return {
         entry.session_id: entry.rate / params.max_session_rate
         for entry in allocation.entries
@@ -80,8 +96,6 @@ def average_satisfaction(
     total_users = census.total_users
     if total_users == 0:
         raise ZeroAudience("average satisfaction is undefined with no users")
-    if allocation.regime is Regime.SATURATED:
-        return 1.0
     counts = census.counts()
     per_session = session_satisfaction(params, allocation)
     if set(per_session) != set(counts):
@@ -106,33 +120,47 @@ def satisfaction_report(
     return SatisfactionReport(allocation.scheme, per_session, average)
 
 
-def compare_schemes(params: SystemParams, census: SessionCensus) -> SchemeComparison:
-    """Run both schemes on one census and tally improved/degraded users.
+def evaluate(params: SystemParams, census: SessionCensus) -> Evaluation:
+    """Rank once, run the cascade once, and score both schemes.
 
     Each user is classified by the sign of its session's rate change
     (popularity minus equal share), with ties called at
-    ``RATE_TIE_TOLERANCE_MBPS``. Propagates :class:`InfeasibleCapacity` when
+    ``RATE_TIE_TOLERANCE_MBPS``. The popularity average sums
+    ``(rate / β_max) · users`` in rank order over the total audience; the
+    equal-share average is ``C / (β_max·M)``. An all-empty census gets the
+    equal-share average under both schemes, since the allocator's uniform
+    fallback is the even split. Propagates :class:`InfeasibleCapacity` when
     the floor does not fit.
     """
     ranked = rank_sessions(census)
-    pop_allocation, _ = popularity_allocate(params, ranked)
-    eq_rate = equal_share_rate(params, census.session_count)
-
+    allocation, ledger = popularity_allocate(params, ranked)
+    eq_rate = equal_share_rate(params, ranked.session_count)
+    per_session: dict[str, float] = {}
     improved = degraded = unchanged = 0
-    pop_rates = pop_allocation.rates()
-    for entry in census.entries:
-        delta_mbps = (pop_rates[entry.session_id] - eq_rate) / MBPS
+    for counted, granted in zip(ranked.entries, allocation.entries):
+        per_session[granted.session_id] = granted.rate / params.max_session_rate
+        delta_mbps = (granted.rate - eq_rate) / MBPS
         if abs(delta_mbps) <= RATE_TIE_TOLERANCE_MBPS:
-            unchanged += entry.users
+            unchanged += counted.users
         elif delta_mbps > 0:
-            improved += entry.users
+            improved += counted.users
         else:
-            degraded += entry.users
+            degraded += counted.users
 
-    avg_equal = equal_share_satisfaction(params, census.session_count)
-    if census.total_users == 0:
-        # Uniform fallback rates equal the even split, so the schemes agree.
+    avg_equal = equal_share_satisfaction(params, ranked.session_count)
+    total_users = ranked.total_users
+    if total_users == 0:
         avg_popularity = avg_equal
     else:
-        avg_popularity = average_satisfaction(params, pop_allocation, census)
-    return SchemeComparison(improved, degraded, unchanged, avg_equal, avg_popularity)
+        weighted = sum(
+            satisfaction * entry.users
+            for satisfaction, entry in zip(per_session.values(), ranked.entries)
+        )
+        avg_popularity = weighted / total_users
+    comparison = SchemeComparison(improved, degraded, unchanged, avg_equal, avg_popularity)
+    return Evaluation(allocation, ledger, eq_rate, per_session, comparison)
+
+
+def compare_schemes(params: SystemParams, census: SessionCensus) -> SchemeComparison:
+    """Run both schemes on one census and tally improved/degraded users."""
+    return evaluate(params, census).comparison

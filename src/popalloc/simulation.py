@@ -1,9 +1,9 @@
 """Event-driven replay of audience churn.
 
 Every accepted event mutates the census and triggers a full recompute:
-re-rank, re-allocate under both schemes, re-derive metrics, re-quantize
-layers. Allocation state is therefore memoryless, a pure function of the
-current census.
+one :func:`~popalloc.satisfaction.evaluate` of the new census, then its
+layers re-quantized. Allocation state is therefore memoryless, a pure
+function of the current census.
 """
 
 from __future__ import annotations
@@ -20,12 +20,8 @@ from .allocation import (
     Regime,
     SessionCensus,
     SessionCount,
-    SurplusLedger,
     SystemParams,
     classify_regime,
-    equal_share_allocate,
-    popularity_allocate,
-    rank_sessions,
 )
 from .errors import (
     DuplicateSession,
@@ -35,7 +31,7 @@ from .errors import (
     UnknownSession,
 )
 from .layers import LayeredPlan, LayerProfile, quantize_allocation
-from .satisfaction import SatisfactionReport, SchemeComparison, compare_schemes, satisfaction_report
+from .satisfaction import Evaluation, SchemeComparison, evaluate
 
 
 class EventKind(enum.Enum):
@@ -70,37 +66,42 @@ class SimEvent:
 
 @dataclass(frozen=True)
 class SimState:
-    """Current census plus everything derived from it."""
+    """Current census plus everything derived from it: the evaluation of both
+    schemes and the layer plans of the popularity allocation."""
 
     census: SessionCensus
-    popularity: Allocation
-    equal_share: Allocation
-    ledger: SurplusLedger
+    evaluation: Evaluation
     plans: tuple[LayeredPlan, ...]
+
+    @property
+    def popularity(self) -> Allocation:
+        return self.evaluation.allocation
 
     @classmethod
     def from_census(
         cls, census: SessionCensus, params: SystemParams, profile: LayerProfile
     ) -> SimState:
-        ranked = rank_sessions(census)
-        pop_allocation, ledger = popularity_allocate(params, ranked)
-        eq_allocation = equal_share_allocate(params, census)
-        plans = tuple(quantize_allocation(pop_allocation, profile))
-        return cls(census, pop_allocation, eq_allocation, ledger, plans)
+        evaluation = evaluate(params, census)
+        plans = tuple(quantize_allocation(evaluation.allocation, profile))
+        return cls(census, evaluation, plans)
 
 
 @dataclass(frozen=True)
 class Snapshot:
-    """Full post-event record: census, both allocations, metrics, layer plans."""
+    """Full post-event record: census, evaluation of both schemes, layer plans."""
 
     time: float
     census: SessionCensus
-    popularity: Allocation
-    equal_share: Allocation
-    satisfaction_popularity: SatisfactionReport
-    satisfaction_equal: SatisfactionReport
-    comparison: SchemeComparison
+    evaluation: Evaluation
     plans: tuple[LayeredPlan, ...]
+
+    @property
+    def popularity(self) -> Allocation:
+        return self.evaluation.allocation
+
+    @property
+    def comparison(self) -> SchemeComparison:
+        return self.evaluation.comparison
 
 
 @dataclass(frozen=True)
@@ -121,17 +122,8 @@ class TraceResult:
     rejections: tuple[RejectedEvent, ...]
 
 
-def _snapshot(time: float, state: SimState, params: SystemParams) -> Snapshot:
-    return Snapshot(
-        time=time,
-        census=state.census,
-        popularity=state.popularity,
-        equal_share=state.equal_share,
-        satisfaction_popularity=satisfaction_report(params, state.popularity, state.census),
-        satisfaction_equal=satisfaction_report(params, state.equal_share, state.census),
-        comparison=compare_schemes(params, state.census),
-        plans=state.plans,
-    )
+def _snapshot(time: float, state: SimState) -> Snapshot:
+    return Snapshot(time, state.census, state.evaluation, state.plans)
 
 
 def _updated_census(
@@ -190,7 +182,7 @@ def apply_event(
     """
     census = _updated_census(state.census, event, params)
     new_state = SimState.from_census(census, params, profile)
-    return new_state, _snapshot(event.time, new_state, params)
+    return new_state, _snapshot(event.time, new_state)
 
 
 def run_trace(
@@ -214,7 +206,7 @@ def run_trace(
         previous = event.time
 
     state = SimState.from_census(initial, params, profile)
-    snapshots = [_snapshot(0.0, state, params)]
+    snapshots = [_snapshot(0.0, state)]
     rejections: list[RejectedEvent] = []
     for event in trace:
         try:

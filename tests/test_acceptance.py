@@ -261,8 +261,8 @@ def test_c7_simulator_reversibility_and_determinism(worked_census):
                 + snap.comparison.unchanged_users
             )
             assert totals == snap.census.total_users
-            assert 0.0 <= snap.satisfaction_popularity.average <= 1.0
-            assert 0.0 <= snap.satisfaction_equal.average <= 1.0
+            assert 0.0 <= snap.comparison.avg_satisfaction_popularity <= 1.0
+            assert 0.0 <= snap.comparison.avg_satisfaction_equal <= 1.0
             assert snap.comparison.delta_avg >= -1e-12
 
 

@@ -118,13 +118,13 @@ def test_allocate_at_float_boundary_succeeds(tmp_path, capsys):
 
 
 def test_internal_error_exits_5_without_traceback(scenario_path, monkeypatch, capsys):
-    import popalloc.cli as cli_module
+    import popalloc.satisfaction as satisfaction_module
     from popalloc import InternalInvariantError
 
     def broken(params, ranked):
         raise InternalInvariantError("cascade overflow at final rank")
 
-    monkeypatch.setattr(cli_module, "popularity_allocate", broken)
+    monkeypatch.setattr(satisfaction_module, "popularity_allocate", broken)
     assert main(["allocate", "--input", str(scenario_path)]) == 5
     err = capsys.readouterr().err
     assert err == "error: internal: cascade overflow at final rank\n"

@@ -12,6 +12,7 @@ from popalloc import (
     random_census,
     run_sweep,
 )
+from popalloc.cli import main
 from popalloc.harness import sweep_csv_text, CSV_COLUMNS
 
 DATA = Path(__file__).parent / "data"
@@ -179,6 +180,29 @@ def test_golden_zipf_sweep_csv():
     )
     text = sweep_csv_text(run_sweep(config))
     assert text == (DATA / "sweep_m20_zipf_seed7.csv").read_text()
+
+
+def test_golden_allocate_json(tmp_path):
+    # The reference 20-session census at C=30, cap=2, floor=0.6 Mbps with
+    # the default layer profile.
+    out = tmp_path / "allocation.json"
+    argv = ["allocate", "--input", str(DATA / "allocate_ref20_scenario.json"), "--out", str(out)]
+    assert main(argv) == 0
+    assert out.read_bytes() == (DATA / "allocate_ref20.expected.json").read_bytes()
+
+
+def test_golden_simulate_json(tmp_path):
+    # 23 sessions at 30 Mbps; the 20-event trace joins, leaves, switches,
+    # starts a 24th session, stops an empty one and has one rejected leave.
+    out = tmp_path / "run.json"
+    argv = [
+        "simulate",
+        "--input", str(DATA / "churn_m23_scenario.json"),
+        "--trace", str(DATA / "churn_m23_trace.jsonl"),
+        "--out", str(out),
+    ]
+    assert main(argv) == 0
+    assert out.read_bytes() == (DATA / "churn_m23.expected.json").read_bytes()
 
 
 def test_emitted_files_are_byte_stable(tmp_path):

@@ -14,10 +14,12 @@ from popalloc import (
     TraceOrder,
     UnknownSession,
     apply_event,
+    equal_share_satisfaction,
     generate_trace,
+    random_census,
     run_trace,
 )
-from popalloc.formats import dump_json, trace_result_document
+from popalloc.formats import dump_json, snapshot_to_dict, trace_result_document
 from checks import assert_allocation_invariants
 from test_allocation import census_of
 
@@ -221,6 +223,30 @@ def test_snapshots_satisfy_invariants(reference_params, worked_census):
         for plan, entry in zip(snap.plans, snap.popularity.entries, strict=True):
             assert plan.session_id == entry.session_id
             assert plan.granted_rate <= entry.rate
+
+
+def test_snapshots_report_one_equal_share_satisfaction(reference_params):
+    census = random_census(23, 200, "zipf", seed=5)
+    trace = generate_trace(
+        TraceGenConfig(census, events=20, weights={"join": 1.0, "leave": 1.0, "switch": 2.0}),
+        seed=17,
+    )
+    result = run_trace(reference_params, PROFILE, census, trace)
+    assert len(result.snapshots) == 21
+    for snap in result.snapshots:
+        doc = snapshot_to_dict(snap)
+        averages = doc["average_satisfaction"]
+        expected = equal_share_satisfaction(reference_params, 23)
+        assert averages["equal_share"] == expected
+        assert doc["equal_share"]["satisfaction"] == expected
+        assert doc["comparison"]["delta_avg"] == averages["popularity"] - averages["equal_share"]
+
+
+def test_empty_census_popularity_average_is_the_even_split(reference_params):
+    (snap,) = run_trace(reference_params, PROFILE, census_of([0] * 23), []).snapshots
+    averages = snapshot_to_dict(snap)["average_satisfaction"]
+    assert averages["popularity"] == averages["equal_share"]
+    assert averages["equal_share"] == equal_share_satisfaction(reference_params, 23)
 
 
 # ---------------------------------------------------------------------------
