@@ -5,7 +5,7 @@ equal-share baseline splits capacity uniformly regardless of who watches
 what. The popularity scheme ranks sessions by audience size and hands the
 capacity above the guaranteed floor out in proportion to each session's
 audience, trimming at a per-session cap and cascading the trimmed excess
-down the ranking.
+down the ranking as one common shift.
 
 All rates are floats in bits/second; Mbps conversion happens only at I/O
 boundaries (see :mod:`popalloc.formats`).
@@ -169,18 +169,20 @@ class Allocation:
 
 @dataclass(frozen=True)
 class SurplusLedger:
-    """Intermediates of the popularity cascade, kept for diagnostics and tests.
+    """The popularity cascade's shape, kept for diagnostics and tests.
 
     ``surplus_coefficient`` is the extra bandwidth each watching user pulls
-    toward its session (bits/second per user). ``headroom`` is cap minus
-    floor. ``carries`` holds the per-remaining-session spill passed down by
-    each of the first M-1 ranks, zero where nothing spilled; the last rank
-    has nobody left to spill to, so it never defines a carry.
+    toward its session (bits/second per user). The first ``capped`` ranks
+    hold the cap; every later rank j gets
+    ``floor + (surplus_coefficient * u_j + shift)``, where ``shift`` sums the
+    even splits of the excess the capped ranks passed down. Saturated
+    allocations have ``capped`` equal to M; an all-empty census, which gets
+    the even split, has ``capped`` 0 and ``shift`` 0.0.
     """
 
     surplus_coefficient: float
-    headroom: float
-    carries: tuple[float, ...]
+    capped: int
+    shift: float
 
 
 def classify_regime(params: SystemParams, session_count: int) -> Regime:
@@ -249,10 +251,10 @@ def popularity_allocate(
 
     In the saturated regime every session simply gets the cap. Otherwise
     each session starts at the floor and claims its audience share of the
-    spare capacity (surplus coefficient times its user count) plus whatever
-    carries spilled down from more popular sessions. A claim that would
-    push past the cap is trimmed there, and the excess is split evenly over
-    the sessions still waiting; those splits are the carries.
+    spare capacity (surplus coefficient times its user count) plus a common
+    shift. Ranks whose claim reaches the cap form a prefix of the ranking;
+    each is trimmed to the cap and splits its excess evenly over the
+    sessions after it, which raises the shift.
 
     Returns the allocation (entries in rank order) and the cascade ledger.
     Raises :class:`InfeasibleCapacity` when even the floor does not fit. The
@@ -260,7 +262,9 @@ def popularity_allocate(
     ``ROUNDING_SLACK`` of capacity is float rounding and is clamped to the
     cap, a larger one raises :class:`InternalInvariantError`. An
     all-empty census in the constrained regime falls back to the equal
-    share, which by regime definition lies between floor and cap.
+    share, which by regime definition lies between floor and cap; where
+    capacity sits at M times the floor, the split can round an ulp below
+    the floor and is raised to it.
     """
     if not isinstance(ranked, RankedCensus):
         raise TypeError("popularity_allocate needs a RankedCensus; call rank_sessions first")
@@ -274,38 +278,37 @@ def popularity_allocate(
         )
     session_count = ranked.session_count
     if regime is Regime.SATURATED or ranked.total_users == 0:
-        uniform = equal_share_rate(params, session_count)
+        uniform = max(equal_share_rate(params, session_count), params.min_session_rate)
         entries = tuple(
             SessionRate(entry.session_id, uniform) for entry in ranked.entries
         )
-        return Allocation(Scheme.POPULARITY, regime, entries), SurplusLedger(
-            0.0, headroom, ()
-        )
+        ledger = SurplusLedger(0.0, session_count if regime is Regime.SATURATED else 0, 0.0)
+        return Allocation(Scheme.POPULARITY, regime, entries), ledger
 
     coefficient, _ = surplus_coefficients(params, ranked)
-    carry_sum = 0.0
-    carries: list[float] = []
-    entries_out: list[SessionRate] = []
-    for position, entry in enumerate(ranked.entries, start=1):
-        claim = coefficient * entry.users + carry_sum
-        if claim >= headroom:
-            entries_out.append(SessionRate(entry.session_id, params.max_session_rate))
-            if position < session_count:
-                carry = (claim - headroom) / (session_count - position)
-                carries.append(carry)
-                carry_sum += carry
-            elif claim - headroom > ROUNDING_SLACK * params.capacity:
-                # Ranked input provably never overflows at the last rank;
-                # beyond float rounding, clamping would silently drop
-                # bandwidth.
-                raise InternalInvariantError(
-                    f"cascade overflow at final rank (claim {claim} > headroom {headroom})"
-                )
-        else:
-            entries_out.append(
-                SessionRate(entry.session_id, params.min_session_rate + claim)
+    capped = 0
+    shift = 0.0
+    for entry in ranked.entries:
+        claim = coefficient * entry.users + shift
+        if claim < headroom:
+            break
+        capped += 1
+        if capped < session_count:
+            shift += (claim - headroom) / (session_count - capped)
+        elif claim - headroom > ROUNDING_SLACK * params.capacity:
+            # Ranked input provably never overflows at the last rank;
+            # beyond float rounding, clamping would silently drop
+            # bandwidth.
+            raise InternalInvariantError(
+                f"cascade overflow at final rank (claim {claim} > headroom {headroom})"
             )
-            if position < session_count:
-                carries.append(0.0)
-    allocation = Allocation(Scheme.POPULARITY, regime, tuple(entries_out))
-    return allocation, SurplusLedger(coefficient, headroom, tuple(carries))
+    cap, floor = params.max_session_rate, params.min_session_rate
+    entries = tuple(
+        SessionRate(
+            entry.session_id,
+            cap if position < capped else floor + (coefficient * entry.users + shift),
+        )
+        for position, entry in enumerate(ranked.entries)
+    )
+    allocation = Allocation(Scheme.POPULARITY, regime, entries)
+    return allocation, SurplusLedger(coefficient, capped, shift)

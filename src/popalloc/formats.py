@@ -76,21 +76,21 @@ def allocation_document(
 ) -> dict:
     """One-shot output: the input document mirrored, each session annotated
     with its allocated rate, satisfaction, and layer plan, followed by the
-    equal-share rate and the comparison of both schemes."""
+    equal-share rate and the comparison of both schemes. ``plans`` are in
+    allocation (rank) order."""
     allocation = evaluation.allocation
     comparison = evaluation.comparison
-    rates = allocation.rates()
-    plan_by_id = {plan.session_id: plan for plan in plans}
-    rank_by_id = {entry.session_id: i + 1 for i, entry in enumerate(allocation.entries)}
+    index = {entry.session_id: i for i, entry in enumerate(allocation.entries)}
     sessions = []
     for entry in census.entries:
-        plan = plan_by_id[entry.session_id]
+        i = index[entry.session_id]
+        plan = plans[i]
         sessions.append(
             {
                 "id": entry.session_id,
                 "users": entry.users,
-                "rank": rank_by_id[entry.session_id],
-                "rate_mbps": rates[entry.session_id] / MBPS,
+                "rank": i + 1,
+                "rate_mbps": allocation.entries[i].rate / MBPS,
                 "satisfaction": evaluation.per_session[entry.session_id],
                 "layers": {
                     "enhancements": plan.enhancement_count,

@@ -23,7 +23,6 @@ from .allocation import (
     SystemParams,
     classify_regime,
 )
-from .layers import LayerProfile
 from .satisfaction import evaluate
 
 logger = logging.getLogger(__name__)
@@ -51,8 +50,8 @@ DISTRIBUTIONS = ("uniform", "zipf")
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Everything a sweep needs: system parameters, the session counts to
-    visit, audience size, popularity distribution, replication count, seed,
-    and optionally a layer profile for quantized runs."""
+    visit, audience size, popularity distribution, replication count and
+    seed."""
 
     params: SystemParams
     session_counts: tuple[int, ...]
@@ -61,7 +60,6 @@ class ScenarioConfig:
     zipf_s: float = 1.0
     replications: int = 1
     seed: int = 0
-    profile: LayerProfile | None = None
 
     def __post_init__(self) -> None:
         if not self.session_counts:
@@ -243,9 +241,6 @@ def run_manifest(config: ScenarioConfig, rows: list[SweepRow]) -> dict:
     }
     if config.dist == "zipf":
         manifest["zipf_s"] = config.zipf_s
-    if config.profile is not None:
-        manifest["base_layer_mbps"] = config.profile.base_rate / MBPS
-        manifest["enh_layer_mbps"] = config.profile.enhancement_rate / MBPS
     return manifest
 
 

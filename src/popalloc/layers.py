@@ -17,14 +17,12 @@ from .errors import ProfileInfeasible
 
 @dataclass(frozen=True)
 class LayerProfile:
-    """Layer sizing for a run: base-layer rate, uniform enhancement-layer
-    rate, and an optional cap on stacked enhancement layers. The base rate
-    must not exceed the system's per-session floor, or the guaranteed
-    minimum quality could not be delivered."""
+    """Layer sizing for a run: base-layer rate and uniform enhancement-layer
+    rate. The base rate must not exceed the system's per-session floor, or
+    the guaranteed minimum quality could not be delivered."""
 
     base_rate: float
     enhancement_rate: float
-    max_layers: int | None = None
 
     def __post_init__(self) -> None:
         if not 0 < self.base_rate < math.inf:
@@ -33,14 +31,10 @@ class LayerProfile:
             raise ValueError(
                 f"enhancement_rate must be positive and finite, got {self.enhancement_rate}"
             )
-        if self.max_layers is not None and self.max_layers < 0:
-            raise ValueError(f"max_layers must be >= 0, got {self.max_layers}")
 
     @classmethod
-    def from_mbps(
-        cls, base_rate: float, enhancement_rate: float, max_layers: int | None = None
-    ) -> LayerProfile:
-        return cls(base_rate * MBPS, enhancement_rate * MBPS, max_layers)
+    def from_mbps(cls, base_rate: float, enhancement_rate: float) -> LayerProfile:
+        return cls(base_rate * MBPS, enhancement_rate * MBPS)
 
 
 @dataclass(frozen=True)
@@ -87,8 +81,6 @@ def quantize_allocation(
             count += 1
         while count > 0 and profile.base_rate + count * profile.enhancement_rate > entry.rate:
             count -= 1
-        if profile.max_layers is not None:
-            count = min(count, profile.max_layers)
         granted = profile.base_rate + count * profile.enhancement_rate
         plans.append(
             LayeredPlan(entry.session_id, count, granted, entry.rate - granted)

@@ -2,9 +2,10 @@ import math
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from popalloc import (
+    MBPS,
     InfeasibleCapacity,
     InternalInvariantError,
     RankedCensus,
@@ -17,6 +18,7 @@ from popalloc import (
     classify_regime,
     equal_share_allocate,
     equal_share_rate,
+    evaluate,
     popularity_allocate,
     rank_sessions,
     surplus_coefficients,
@@ -205,20 +207,19 @@ def test_two_session_cascade_ledger():
     params = SystemParams.from_mbps(3, 2, 0.6)
     _, ledger = popularity_allocate(params, rank_sessions(census_of([190, 10])))
     assert ledger.surplus_coefficient == pytest.approx(9_000.0, rel=1e-12)
-    assert ledger.headroom == 1.4e6
-    assert len(ledger.carries) == 1
-    assert ledger.carries[0] == pytest.approx(0.31e6, rel=1e-12)
+    assert ledger.capped == 1
+    assert ledger.shift == pytest.approx(0.31e6, rel=1e-12)
 
 
 def test_final_rank_overshoot_within_rounding_is_clamped():
-    # Capacity one ulp below M * cap: the carries round the final claim up
+    # Capacity one ulp below M * cap: the shift rounds the final claim up
     # to exactly the headroom, which used to raise InternalInvariantError.
     params = SystemParams.from_mbps(7.999999999999999, 2, 0.6)
     census = census_of([3, 33, 43, 3])
     allocation, ledger = popularity_allocate(params, rank_sessions(census))
     assert allocation.regime is Regime.CONSTRAINED
     assert [e.rate for e in allocation.entries] == [params.max_session_rate] * 4
-    assert len(ledger.carries) == 3
+    assert ledger.capped == 4
     assert_allocation_invariants(params, census, allocation)
 
 
@@ -248,11 +249,10 @@ def test_worked_twenty_session_vector(reference_params, worked_census):
     for got, want in zip(rates, WORKED_RATES_MBPS):
         assert got == pytest.approx(want, rel=1e-9)
     assert sum(e.rate for e in allocation.entries) == pytest.approx(30e6, rel=1e-9)
-    expected_carries = [0.1157895, 0.0786550, 0.0349673, 0.0112132]
-    for got, want in zip(ledger.carries, expected_carries):
-        assert got / 1e6 == pytest.approx(want, abs=5e-8)
-    assert all(c == 0.0 for c in ledger.carries[4:])
-    assert len(ledger.carries) == 19
+    # The four capped ranks pass down 0.1157895, 0.0786550, 0.0349673 and
+    # 0.0112132 Mbps per remaining session.
+    assert ledger.capped == 4
+    assert ledger.shift == pytest.approx(240625.0, rel=1e-9)
 
 
 def test_saturated_allocates_cap(reference_params):
@@ -261,7 +261,8 @@ def test_saturated_allocates_cap(reference_params):
     )
     assert allocation.regime is Regime.SATURATED
     assert all(e.rate == 2e6 for e in allocation.entries)
-    assert ledger.carries == ()
+    assert ledger.capped == 10
+    assert ledger.shift == 0.0
 
 
 def test_infeasible_raises(reference_params):
@@ -316,8 +317,60 @@ def test_constrained_invariants(setup):
     params, census = setup
     allocation, ledger = popularity_allocate(params, rank_sessions(census))
     assert_allocation_invariants(params, census, allocation)
-    assert all(c >= 0.0 for c in ledger.carries)
-    assert len(ledger.carries) in (0, census.session_count - 1)
+    assert ledger.shift >= 0.0
+    assert 0 <= ledger.capped <= census.session_count
+    if census.total_users == 0:
+        return  # the even split, outside the cascade's shape
+    floor, cap = params.min_session_rate, params.max_session_rate
+    coefficient = ledger.surplus_coefficient
+    for position, (counted, granted) in enumerate(
+        zip(rank_sessions(census).entries, allocation.entries)
+    ):
+        if position < ledger.capped:
+            assert granted.rate == cap
+        else:
+            assert granted.rate == floor + (coefficient * counted.users + ledger.shift)
+
+
+@st.composite
+def float_boundary_setups(draw):
+    """Capacity a few ulps below M·cap or at/above M·floor, Mbps-scale rates,
+    audiences of 0, 1, 2**53 or a handful."""
+    m = draw(st.integers(1, 40))
+    floor = draw(st.floats(0.05, 3.0)) * MBPS
+    cap = floor + draw(st.floats(0.001, 4.0)) * MBPS
+    if draw(st.booleans()):
+        capacity, steps, toward = m * cap, draw(st.integers(1, 4)), -math.inf
+    else:
+        capacity, steps, toward = m * floor, draw(st.integers(0, 4)), math.inf
+    for _ in range(steps):
+        capacity = math.nextafter(capacity, toward)
+    small = st.integers(0, 50)
+    counts = draw(
+        st.lists(
+            st.one_of(st.sampled_from([0, 1, 2**53]), small), min_size=m, max_size=m
+        )
+    )
+    return SystemParams(capacity, cap, floor), census_of(counts)
+
+
+@settings(max_examples=400)
+@given(float_boundary_setups())
+@example((SystemParams.from_mbps(7.999999999999999, 2, 0.6), census_of([3, 33, 43, 3])))
+@example((SystemParams(math.nextafter(2e6, 0.0), 2e6, 0.6e6), census_of([2**53])))
+@example((SystemParams(24 * 963797.5019705303, 2e6, 963797.5019705303), census_of([0] * 24)))
+def test_guarantees_at_float_boundaries(setup):
+    params, census = setup
+    try:
+        evaluation = evaluate(params, census)
+    except InternalInvariantError as exc:
+        pytest.fail(f"valid input tripped the cascade invariant: {exc}")
+    assert_allocation_invariants(params, census, evaluation.allocation)
+    comparison = evaluation.comparison
+    assert (
+        comparison.avg_satisfaction_popularity
+        >= comparison.avg_satisfaction_equal - 1e-12
+    )
 
 
 @given(constrained_setups())

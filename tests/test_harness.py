@@ -205,6 +205,22 @@ def test_golden_simulate_json(tmp_path):
     assert out.read_bytes() == (DATA / "churn_m23.expected.json").read_bytes()
 
 
+def test_golden_sweep_outputs(tmp_path):
+    # C=30, cap=2, floor=0.6 Mbps: M 14-15 saturated, 16-50 constrained,
+    # 51-52 skipped as infeasible.
+    out = tmp_path / "sweep_m14_52_zipf_seed7.csv"
+    argv = [
+        "sweep",
+        "--capacity-mbps", "30", "--beta-max-mbps", "2", "--beta-min-mbps", "0.6",
+        "--sessions", "14..52", "--users", "200", "--dist", "zipf",
+        "--replications", "3", "--seed", "7", "--out", str(out),
+    ]
+    assert main(argv) == 0
+    assert out.read_bytes() == (DATA / out.name).read_bytes()
+    manifest = out.with_suffix(".manifest.json")
+    assert manifest.read_bytes() == (DATA / manifest.name).read_bytes()
+
+
 def test_emitted_files_are_byte_stable(tmp_path):
     config = reference_config(session_counts=(18, 20), replications=4)
     rows = run_sweep(config)

@@ -32,8 +32,6 @@ def test_profile_validation():
         LayerProfile(0.0, 1.0)
     with pytest.raises(ValueError):
         LayerProfile(1.0, 0.0)
-    with pytest.raises(ValueError):
-        LayerProfile(1.0, 1.0, max_layers=-1)
 
 
 def test_quantize_mid_rate():
@@ -62,14 +60,6 @@ def test_quantize_exact_fit():
     assert plans[0].enhancement_count == 4
     assert plans[0].granted_rate == 2.0e6
     assert plans[0].residual_rate == 0.0
-
-
-def test_quantize_respects_max_layers():
-    plans = quantize_allocation(
-        allocation_of([2.0]), LayerProfile.from_mbps(0.6, 0.25, max_layers=2)
-    )
-    assert plans[0].enhancement_count == 2
-    assert plans[0].granted_rate == pytest.approx(1.1e6, rel=1e-12)
 
 
 def test_quantize_rejects_oversized_base():
@@ -173,12 +163,3 @@ def test_layer_count_matches_linear_search(rates, profile):
         assert plan.enhancement_count == max_whole_layers(
             rate * 1e6, profile.base_rate, profile.enhancement_rate
         )
-
-
-@given(rates_mbps, profiles, st.integers(0, 6))
-def test_max_layers_caps_count(rates, profile, cap):
-    capped = LayerProfile(profile.base_rate, profile.enhancement_rate, cap)
-    plans = quantize_allocation(allocation_of(sorted(rates, reverse=True)), capped)
-    for plan in plans:
-        assert plan.enhancement_count <= cap
-        assert plan.residual_rate >= 0.0
