@@ -27,9 +27,8 @@ from .formats import (
     write_text_atomic,
 )
 from .harness import ScenarioConfig, emit_sweep_outputs, random_census, run_sweep
-from .layers import LayerProfile, check_profile_fits, quantize_allocation
-from .satisfaction import evaluate
-from .simulation import run_trace
+from .layers import LayerProfile, check_profile_fits
+from .simulation import Snapshot, run_trace
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 2
@@ -159,10 +158,7 @@ def _write_output(text: str, out: str | None) -> None:
     if out is None or out == "-":
         sys.stdout.write(text)
         return
-    path = Path(out)
-    if path.parent != Path(""):
-        path.parent.mkdir(parents=True, exist_ok=True)
-    write_text_atomic(path, text)
+    write_text_atomic(out, text)
 
 
 def _parse_session_range(text: str) -> tuple[int, ...]:
@@ -197,9 +193,8 @@ def cmd_allocate(args: argparse.Namespace) -> int:
         )
     profile = _resolve_profile(args, params)
 
-    evaluation = evaluate(params, census)
-    plans = quantize_allocation(evaluation.allocation, profile)
-    _write_output(dump_json(allocation_document(params, census, evaluation, plans)), args.out)
+    snapshot = Snapshot.from_census(census, params, profile)
+    _write_output(dump_json(allocation_document(params, snapshot)), args.out)
     return EXIT_OK
 
 

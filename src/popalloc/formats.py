@@ -17,8 +17,7 @@ from typing import Any
 
 from .allocation import MBPS, SessionCensus, SystemParams
 from .errors import DocumentError
-from .layers import LayeredPlan
-from .satisfaction import Evaluation
+from .satisfaction import SchemeComparison
 from .simulation import EventKind, SimEvent, Snapshot, TraceResult
 
 
@@ -43,7 +42,7 @@ def parse_scenario_document(text: str) -> tuple[SystemParams, SessionCensus]:
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise DocumentError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise DocumentError("scenario document must be a JSON object")
@@ -68,23 +67,33 @@ def parse_scenario_document(text: str) -> tuple[SystemParams, SessionCensus]:
     return params, census
 
 
-def allocation_document(
-    params: SystemParams,
-    census: SessionCensus,
-    evaluation: Evaluation,
-    plans: Sequence[LayeredPlan],
-) -> dict:
+def _scores(comparison: SchemeComparison) -> dict:
+    """The ``average_satisfaction`` and ``comparison`` blocks of both
+    output documents."""
+    return {
+        "average_satisfaction": {
+            "popularity": comparison.avg_satisfaction_popularity,
+            "equal_share": comparison.avg_satisfaction_equal,
+        },
+        "comparison": {
+            "improved_users": comparison.improved_users,
+            "degraded_users": comparison.degraded_users,
+            "unchanged_users": comparison.unchanged_users,
+        },
+    }
+
+
+def allocation_document(params: SystemParams, snapshot: Snapshot) -> dict:
     """One-shot output: the input document mirrored, each session annotated
     with its allocated rate, satisfaction, and layer plan, followed by the
-    equal-share rate and the comparison of both schemes. ``plans`` are in
-    allocation (rank) order."""
+    equal-share rate and the comparison of both schemes."""
+    evaluation = snapshot.evaluation
     allocation = evaluation.allocation
-    comparison = evaluation.comparison
     index = {entry.session_id: i for i, entry in enumerate(allocation.entries)}
     sessions = []
-    for entry in census.entries:
+    for entry in snapshot.census.entries:
         i = index[entry.session_id]
-        plan = plans[i]
+        plan = snapshot.plans[i]
         sessions.append(
             {
                 "id": entry.session_id,
@@ -106,15 +115,7 @@ def allocation_document(
         "regime": allocation.regime.value,
         "sessions": sessions,
         "equal_share_rate_mbps": evaluation.equal_share_rate / MBPS,
-        "average_satisfaction": {
-            "popularity": comparison.avg_satisfaction_popularity,
-            "equal_share": comparison.avg_satisfaction_equal,
-        },
-        "comparison": {
-            "improved_users": comparison.improved_users,
-            "degraded_users": comparison.degraded_users,
-            "unchanged_users": comparison.unchanged_users,
-        },
+        **_scores(evaluation.comparison),
     }
 
 
@@ -131,7 +132,7 @@ def parse_trace(text: str) -> list[SimEvent]:
             continue
         try:
             doc = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise DocumentError(f"trace line {lineno}: invalid JSON: {exc}") from exc
         if not isinstance(doc, dict):
             raise DocumentError(f"trace line {lineno}: must be an object")
@@ -175,7 +176,7 @@ def snapshot_to_dict(snapshot: Snapshot) -> dict:
     evaluation = snapshot.evaluation
     pop_sat = evaluation.per_session
     comparison = evaluation.comparison
-    return {
+    doc = {
         "t": snapshot.time,
         "regime": snapshot.popularity.regime.value,
         "census": census_to_list(snapshot.census),
@@ -191,16 +192,7 @@ def snapshot_to_dict(snapshot: Snapshot) -> dict:
             "rate_mbps": evaluation.equal_share_rate / MBPS,
             "satisfaction": comparison.avg_satisfaction_equal,
         },
-        "average_satisfaction": {
-            "popularity": comparison.avg_satisfaction_popularity,
-            "equal_share": comparison.avg_satisfaction_equal,
-        },
-        "comparison": {
-            "improved_users": comparison.improved_users,
-            "degraded_users": comparison.degraded_users,
-            "unchanged_users": comparison.unchanged_users,
-            "delta_avg": comparison.delta_avg,
-        },
+        **_scores(comparison),
         "plans": [
             {
                 "id": plan.session_id,
@@ -211,6 +203,8 @@ def snapshot_to_dict(snapshot: Snapshot) -> dict:
             for plan in snapshot.plans
         ],
     }
+    doc["comparison"]["delta_avg"] = comparison.delta_avg
+    return doc
 
 
 def trace_result_document(result: TraceResult) -> dict:
@@ -326,11 +320,13 @@ def write_text_atomic(path: Path | str, text: str) -> None:
     then moves over it, so a crash leaves either the old file or the new one,
     never a partial one. A symlink is followed; a target that is not a
     regular file (a device such as ``/dev/null``, a pipe) is written in place.
+    Missing parent directories are created.
     """
     path = Path(path).resolve()
     if path.exists() and not path.is_file():
         path.write_text(text)
         return
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         tmp.write_text(text)

@@ -10,19 +10,13 @@ from __future__ import annotations
 
 import logging
 import statistics
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .allocation import (
-    MBPS,
-    Regime,
-    SessionCensus,
-    SessionCount,
-    SystemParams,
-    classify_regime,
-)
+from .allocation import MBPS, Regime, SessionCensus, SystemParams, classify_regime
+from .formats import dump_json, write_text_atomic
 from .satisfaction import evaluate
 
 logger = logging.getLogger(__name__)
@@ -131,9 +125,7 @@ def random_census(
         raise ValueError(f"dist must be one of {DISTRIBUTIONS}, got {dist!r}")
     counts = rng.multinomial(total_users, probs)
     ids = session_ids(session_count)
-    return SessionCensus(
-        tuple(SessionCount(sid, int(n)) for sid, n in zip(ids, counts))
-    )
+    return SessionCensus.from_counts(zip(ids, counts.tolist()))
 
 
 def infeasible_session_counts(config: ScenarioConfig) -> list[int]:
@@ -150,9 +142,10 @@ def run_sweep(config: ScenarioConfig) -> list[SweepRow]:
     Session counts the floor cannot support are skipped with a warning (they
     also land in the manifest); rows come back ordered as configured.
     """
+    infeasible = infeasible_session_counts(config)
     rows: list[SweepRow] = []
     for m in config.session_counts:
-        if classify_regime(config.params, m) is Regime.INFEASIBLE:
+        if m in infeasible:
             logger.warning(
                 "skipping M=%d: floor %g Mbps x %d exceeds capacity %g Mbps",
                 m,
@@ -161,24 +154,13 @@ def run_sweep(config: ScenarioConfig) -> list[SweepRow]:
                 config.params.capacity / MBPS,
             )
             continue
-        eq_values: list[float] = []
-        prop_values: list[float] = []
-        improved: list[int] = []
-        degraded: list[int] = []
-        unchanged: list[int] = []
+        comparisons = []
         for replication in range(config.replications):
-            subseed = np.random.SeedSequence(
-                entropy=config.seed, spawn_key=(m, replication)
-            )
-            census = random_census(
-                m, config.total_users, config.dist, subseed, config.zipf_s
-            )
-            result = evaluate(config.params, census).comparison
-            eq_values.append(result.avg_satisfaction_equal)
-            prop_values.append(result.avg_satisfaction_popularity)
-            improved.append(result.improved_users)
-            degraded.append(result.degraded_users)
-            unchanged.append(result.unchanged_users)
+            subseed = np.random.SeedSequence(entropy=config.seed, spawn_key=(m, replication))
+            census = random_census(m, config.total_users, config.dist, subseed, config.zipf_s)
+            comparisons.append(evaluate(config.params, census).comparison)
+        equal = [c.avg_satisfaction_equal for c in comparisons]
+        popularity = [c.avg_satisfaction_popularity for c in comparisons]
         # statistics.mean/pstdev aggregate exactly (rational arithmetic), so
         # a constant series averages to precisely its value.
         rows.append(
@@ -187,39 +169,23 @@ def run_sweep(config: ScenarioConfig) -> list[SweepRow]:
                 dist=config.dist,
                 replications=config.replications,
                 seed=config.seed,
-                avg_sat_equal_mean=float(statistics.mean(eq_values)),
-                avg_sat_equal_std=float(statistics.pstdev(eq_values)),
-                avg_sat_prop_mean=float(statistics.mean(prop_values)),
-                avg_sat_prop_std=float(statistics.pstdev(prop_values)),
-                improved_mean=float(statistics.mean(improved)),
-                degraded_mean=float(statistics.mean(degraded)),
-                unchanged_mean=float(statistics.mean(unchanged)),
+                avg_sat_equal_mean=float(statistics.mean(equal)),
+                avg_sat_equal_std=float(statistics.pstdev(equal)),
+                avg_sat_prop_mean=float(statistics.mean(popularity)),
+                avg_sat_prop_std=float(statistics.pstdev(popularity)),
+                improved_mean=float(statistics.mean([c.improved_users for c in comparisons])),
+                degraded_mean=float(statistics.mean([c.degraded_users for c in comparisons])),
+                unchanged_mean=float(statistics.mean([c.unchanged_users for c in comparisons])),
             )
         )
     return rows
 
 
 def sweep_csv_text(rows: list[SweepRow]) -> str:
-    """Render sweep rows as CSV; floats use shortest round-trip form."""
+    """Render sweep rows as CSV, one ``str`` per field in ``CSV_COLUMNS``
+    order; ``str`` of a float is its shortest round-trip form."""
     lines = [",".join(CSV_COLUMNS)]
-    for row in rows:
-        lines.append(
-            ",".join(
-                (
-                    str(row.session_count),
-                    row.dist,
-                    str(row.replications),
-                    str(row.seed),
-                    repr(row.avg_sat_equal_mean),
-                    repr(row.avg_sat_equal_std),
-                    repr(row.avg_sat_prop_mean),
-                    repr(row.avg_sat_prop_std),
-                    repr(row.improved_mean),
-                    repr(row.degraded_mean),
-                    repr(row.unchanged_mean),
-                )
-            )
-        )
+    lines.extend(",".join(map(str, astuple(row))) for row in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -253,11 +219,8 @@ def emit_sweep_outputs(
     Returns both paths. Each file is replaced in one step, so a crash never
     leaves a partial one. I/O errors surface with the path attached.
     """
-    from .formats import dump_json, write_text_atomic
-
     csv_path = Path(destination)
     manifest_path = csv_path.with_suffix(".manifest.json")
-    csv_path.parent.mkdir(parents=True, exist_ok=True)
     write_text_atomic(csv_path, sweep_csv_text(rows))
     write_text_atomic(manifest_path, dump_json(run_manifest(config, rows)))
     return csv_path, manifest_path

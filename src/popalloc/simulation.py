@@ -19,7 +19,6 @@ from .allocation import (
     Allocation,
     Regime,
     SessionCensus,
-    SessionCount,
     SystemParams,
     classify_regime,
 )
@@ -65,30 +64,10 @@ class SimEvent:
 
 
 @dataclass(frozen=True)
-class SimState:
-    """Current census plus everything derived from it: the evaluation of both
-    schemes and the layer plans of the popularity allocation."""
-
-    census: SessionCensus
-    evaluation: Evaluation
-    plans: tuple[LayeredPlan, ...]
-
-    @property
-    def popularity(self) -> Allocation:
-        return self.evaluation.allocation
-
-    @classmethod
-    def from_census(
-        cls, census: SessionCensus, params: SystemParams, profile: LayerProfile
-    ) -> SimState:
-        evaluation = evaluate(params, census)
-        plans = tuple(quantize_allocation(evaluation.allocation, profile))
-        return cls(census, evaluation, plans)
-
-
-@dataclass(frozen=True)
 class Snapshot:
-    """Full post-event record: census, evaluation of both schemes, layer plans."""
+    """The census at one instant plus everything derived from it: the
+    evaluation of both schemes and the layer plans of the popularity
+    allocation. The simulator's state is its latest snapshot."""
 
     time: float
     census: SessionCensus
@@ -102,6 +81,23 @@ class Snapshot:
     @property
     def comparison(self) -> SchemeComparison:
         return self.evaluation.comparison
+
+    @classmethod
+    def from_census(
+        cls,
+        census: SessionCensus,
+        params: SystemParams,
+        profile: LayerProfile,
+        time: float = 0.0,
+    ) -> Snapshot:
+        evaluation = evaluate(params, census)
+        plans = tuple(quantize_allocation(evaluation.allocation, profile))
+        return cls(time, census, evaluation, plans)
+
+
+# The older name for the simulator's state; perfbench's layer tracer wraps
+# ``SimState.from_census`` by this name.
+SimState = Snapshot
 
 
 @dataclass(frozen=True)
@@ -120,10 +116,6 @@ class TraceResult:
 
     snapshots: tuple[Snapshot, ...]
     rejections: tuple[RejectedEvent, ...]
-
-
-def _snapshot(time: float, state: SimState) -> Snapshot:
-    return Snapshot(time, state.census, state.evaluation, state.plans)
 
 
 def _updated_census(
@@ -162,7 +154,7 @@ def _updated_census(
             raise InfeasibleCapacity("stopping the last session leaves nothing to allocate")
         del counts[sid]
 
-    updated = SessionCensus(tuple(SessionCount(s, n) for s, n in counts.items()))
+    updated = SessionCensus.from_counts(counts)
     if classify_regime(params, updated.session_count) is Regime.INFEASIBLE:
         raise InfeasibleCapacity(
             f"event would leave {updated.session_count} sessions, more than the floor supports"
@@ -171,9 +163,9 @@ def _updated_census(
 
 
 def apply_event(
-    state: SimState, event: SimEvent, params: SystemParams, profile: LayerProfile
-) -> tuple[SimState, Snapshot]:
-    """Apply one event and recompute everything downstream of the census.
+    state: Snapshot, event: SimEvent, params: SystemParams, profile: LayerProfile
+) -> Snapshot:
+    """Apply one event and return the snapshot of the census it leaves.
 
     Raises without side effects when the event is inapplicable
     (:class:`UnknownSession`, :class:`EmptySession`,
@@ -181,8 +173,7 @@ def apply_event(
     (:class:`InfeasibleCapacity`); the caller keeps the old state.
     """
     census = _updated_census(state.census, event, params)
-    new_state = SimState.from_census(census, params, profile)
-    return new_state, _snapshot(event.time, new_state)
+    return Snapshot.from_census(census, params, profile, event.time)
 
 
 def run_trace(
@@ -205,16 +196,16 @@ def run_trace(
             )
         previous = event.time
 
-    state = SimState.from_census(initial, params, profile)
-    snapshots = [_snapshot(0.0, state)]
+    state = Snapshot.from_census(initial, params, profile)
+    snapshots = [state]
     rejections: list[RejectedEvent] = []
     for event in trace:
         try:
-            state, snap = apply_event(state, event, params, profile)
+            state = apply_event(state, event, params, profile)
         except (UnknownSession, EmptySession, DuplicateSession, InfeasibleCapacity) as exc:
             rejections.append(RejectedEvent(event, type(exc).__name__, str(exc)))
             continue
-        snapshots.append(snap)
+        snapshots.append(state)
     return TraceResult(tuple(snapshots), tuple(rejections))
 
 

@@ -93,6 +93,16 @@ def test_allocate_bad_json_exits_3(tmp_path):
     assert main(["allocate", "--input", str(bad)]) == 3
 
 
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
+
+
+def test_allocate_deeply_nested_json_exits_3(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text(DEEP_JSON)
+    assert main(["allocate", "--input", str(path)]) == 3
+    assert capsys.readouterr().err.startswith("error: invalid JSON: ")
+
+
 def test_allocate_missing_file_exits_4(tmp_path):
     assert main(["allocate", "--input", str(tmp_path / "absent.json")]) == 4
 
@@ -210,6 +220,15 @@ def test_simulate_unordered_trace_exits_3(scenario_path, tmp_path):
     assert main(
         ["simulate", "--input", str(scenario_path), "--trace", str(trace_path)]
     ) == 3
+
+
+def test_simulate_deeply_nested_trace_line_exits_3(scenario_path, tmp_path, capsys):
+    trace_path = tmp_path / "events.jsonl"
+    trace_path.write_text('{"t": 1.0, "ev": "join", "s": "s01"}\n' + DEEP_JSON + "\n")
+    assert main(
+        ["simulate", "--input", str(scenario_path), "--trace", str(trace_path)]
+    ) == 3
+    assert capsys.readouterr().err.startswith("error: trace line 2: invalid JSON: ")
 
 
 def test_simulate_infeasible_initial_census_exits_2(tmp_path):

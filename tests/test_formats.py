@@ -214,6 +214,13 @@ def test_write_text_atomic_replaces_file(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
 
 
+def test_write_text_atomic_creates_missing_parents(tmp_path):
+    path = tmp_path / "a" / "b" / "out.json"
+    write_text_atomic(path, "new\n")
+    assert path.read_text() == "new\n"
+    assert os.listdir(path.parent) == ["out.json"]
+
+
 def test_write_text_atomic_failed_write_keeps_old_file(tmp_path):
     path = tmp_path / "out.json"
     path.write_text("old\n")

@@ -1,6 +1,8 @@
+import math
+
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 
 from popalloc import (
     Allocation,
@@ -153,7 +155,27 @@ def test_quantization_idempotent(rates, profile):
         assert after.residual_rate == 0.0
 
 
+def layer_boundary_case(base_mbps, enh_mbps, layers=12):
+    """Rates (Mbps) at base + k·enh for k = 0..layers and 1-4 ulps either
+    side, with the profile they straddle; rates below the base are left out."""
+    profile = LayerProfile.from_mbps(base_mbps, enh_mbps)
+    rates = []
+    for k in range(layers + 1):
+        below = above = (profile.base_rate + k * profile.enhancement_rate) / 1e6
+        rates.append(below)
+        for _ in range(4):
+            below = math.nextafter(below, 0.0)
+            above = math.nextafter(above, math.inf)
+            rates += [below, above]
+    return [r for r in rates if r * 1e6 >= profile.base_rate], profile
+
+
 @given(rates_mbps, profiles)
+@example(*layer_boundary_case(0.6, 0.35))
+# Floor division alone gives one layer too few at k = 7 with the first profile
+# below, and one too many an ulp below k = 6 with the second.
+@example(*layer_boundary_case(0.53, 0.9439628357401821))
+@example(*layer_boundary_case(0.5006777608370384, 0.2))
 def test_layer_count_matches_linear_search(rates, profile):
     from oracles import max_whole_layers
 

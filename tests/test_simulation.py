@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from popalloc import (
@@ -5,6 +7,7 @@ from popalloc import (
     EmptySession,
     EventKind,
     InfeasibleCapacity,
+    InternalInvariantError,
     LayerProfile,
     SessionCensus,
     SimEvent,
@@ -42,6 +45,14 @@ def switch(t, src, dst):
     return SimEvent(t, EventKind.USER_SWITCH, src, dst)
 
 
+def start(t, sid):
+    return SimEvent(t, EventKind.SESSION_START, sid)
+
+
+def stop(t, sid):
+    return SimEvent(t, EventKind.SESSION_STOP, sid)
+
+
 # ---------------------------------------------------------------------------
 # events
 # ---------------------------------------------------------------------------
@@ -58,18 +69,18 @@ def test_event_validation():
 
 def test_join_updates_census_and_reorders(reference_params):
     state = state_of(reference_params, [5, 5])
-    new_state, snap = apply_event(state, join(1.0, "s001"), reference_params, PROFILE)
+    new_state = apply_event(state, join(1.0, "s001"), reference_params, PROFILE)
     assert new_state.census.counts() == {"s001": 6, "s002": 5}
     rates = new_state.popularity.rates()
     assert rates["s001"] >= rates["s002"]
-    assert snap.time == 1.0
+    assert new_state.time == 1.0
 
 
 def test_saturated_regime_unmoved_by_churn(reference_params):
     state = state_of(reference_params, [30, 20, 15, 10, 9, 8, 5, 2, 1, 0])
     for event in (join(1.0, "s010"), leave(2.0, "s001"), switch(3.0, "s002", "s009")):
-        state, snap = apply_event(state, event, reference_params, PROFILE)
-        assert all(e.rate == 2e6 for e in snap.popularity.entries)
+        state = apply_event(state, event, reference_params, PROFILE)
+        assert all(e.rate == 2e6 for e in state.popularity.entries)
 
 
 def test_repeated_switch_reaches_even_split():
@@ -78,7 +89,7 @@ def test_repeated_switch_reaches_even_split():
     t = 0.0
     for _ in range(90):
         t += 1.0
-        state, _ = apply_event(state, switch(t, "s001", "s002"), params, PROFILE)
+        state = apply_event(state, switch(t, "s001", "s002"), params, PROFILE)
     assert state.census.counts() == {"s001": 100, "s002": 100}
     for rate in state.popularity.rates().values():
         assert rate == pytest.approx(1.5e6, rel=1e-12)
@@ -86,11 +97,11 @@ def test_repeated_switch_reaches_even_split():
 
 def test_session_start_and_stop(reference_params):
     state = state_of(reference_params, [5, 5])
-    state, _ = apply_event(
+    state = apply_event(
         state, SimEvent(1.0, EventKind.SESSION_START, "s003"), reference_params, PROFILE
     )
     assert state.census.counts() == {"s001": 5, "s002": 5, "s003": 0}
-    state, _ = apply_event(
+    state = apply_event(
         state, SimEvent(2.0, EventKind.SESSION_STOP, "s001"), reference_params, PROFILE
     )
     assert state.census.counts() == {"s002": 5, "s003": 0}
@@ -223,6 +234,35 @@ def test_snapshots_satisfy_invariants(reference_params, worked_census):
         for plan, entry in zip(snap.plans, snap.popularity.entries, strict=True):
             assert plan.session_id == entry.session_id
             assert plan.granted_rate <= entry.rate
+
+
+@pytest.mark.parametrize("ulps", range(5))
+@pytest.mark.parametrize(
+    "sessions, floor", [(24, 963797.5019705303), (7, 0.6e6), (13, 1e6 / 3)]
+)
+def test_churn_around_empty_census_at_floor_boundary(sessions, floor, ulps):
+    # Capacity exactly M·floor (ulps=0) or a few ulps above it, an all-empty
+    # starting census, and a base layer at the floor: every snapshot must
+    # keep every rate at or above the floor without tripping the cascade.
+    capacity = sessions * floor
+    for _ in range(ulps):
+        capacity = math.nextafter(capacity, math.inf)
+    params = SystemParams(capacity, 2e6, floor)
+    profile = LayerProfile(floor, 0.25e6)
+    trace = [
+        join(1.0, "s001"), join(2.0, "s001"), join(3.0, "s002"), leave(4.0, "s001"),
+        start(5.0, "extra"), stop(6.0, "s002"), start(7.0, "extra"),
+        leave(8.0, "s001"), join(9.0, "extra"), leave(10.0, "extra"),
+    ]
+    try:
+        result = run_trace(params, profile, census_of([0] * sessions), trace)
+    except InternalInvariantError as exc:
+        pytest.fail(f"valid churn tripped the cascade invariant: {exc}")
+    assert [(r.event.time, r.error) for r in result.rejections] == [(5.0, "InfeasibleCapacity")]
+    assert len(result.snapshots) == len(trace)
+    assert result.snapshots[-1].census.total_users == 0
+    for snap in result.snapshots:
+        assert_allocation_invariants(params, snap.census, snap.popularity)
 
 
 def test_snapshots_report_one_equal_share_satisfaction(reference_params):
