@@ -75,6 +75,7 @@ from .simulation import (
     apply_event,
     generate_trace,
     run_trace,
+    stream_trace,
 )
 
 __version__ = "0.1.0"
@@ -132,6 +133,7 @@ __all__ = [
     "rank_sessions",
     "run_sweep",
     "run_trace",
+    "stream_trace",
     "satisfaction_report",
     "session_satisfaction",
     "surplus_coefficients",

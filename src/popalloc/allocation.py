@@ -27,6 +27,10 @@ MBPS = 1_000_000.0
 # rounding rather than to a bug.
 ROUNDING_SLACK = 1e-9
 
+# Largest total audience a census may hold, because audience-weighted sums
+# convert it to a float: the largest integer that rounds to a finite one.
+MAX_TOTAL_USERS = 2**1024 - 2**970 - 1
+
 
 class Scheme(enum.Enum):
     """Which allocation rule produced a set of rates."""
@@ -108,6 +112,8 @@ class SessionCensus:
             if entry.session_id in seen:
                 raise ValueError(f"duplicate session id {entry.session_id!r}")
             seen.add(entry.session_id)
+        if self.total_users > MAX_TOTAL_USERS:
+            raise ValueError("total audience is too large to convert to a float")
 
     @classmethod
     def from_counts(
@@ -137,6 +143,14 @@ class RankedCensus(SessionCensus):
         for prev, cur in zip(self.entries, self.entries[1:]):
             if cur.users > prev.users:
                 raise ValueError("ranked census must have non-increasing user counts")
+
+    @classmethod
+    def _from_ranking(cls, census: SessionCensus, ordered: list[SessionCount]) -> RankedCensus:
+        """A ranking of ``census``'s validated entries, not checked again."""
+        ranked = object.__new__(cls)
+        object.__setattr__(ranked, "entries", tuple(ordered))
+        object.__setattr__(ranked, "total_users", census.total_users)
+        return ranked
 
 
 @dataclass(frozen=True)
@@ -203,7 +217,7 @@ def rank_sessions(census: SessionCensus) -> RankedCensus:
     deterministic; equal counts receive equal rates anyway.
     """
     ordered = sorted(census.entries, key=lambda e: (-e.users, e.session_id))
-    return RankedCensus(tuple(ordered))
+    return RankedCensus._from_ranking(census, ordered)
 
 
 def surplus_coefficients(

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections.abc import Iterable
 from pathlib import Path
 
 from .allocation import MBPS, SystemParams
@@ -23,12 +24,12 @@ from .formats import (
     dump_json,
     load_trace,
     parse_scenario_document,
-    trace_result_document,
+    trace_result_chunks,
     write_text_atomic,
 )
 from .harness import ScenarioConfig, emit_sweep_outputs, random_census, run_sweep
 from .layers import LayerProfile, check_profile_fits
-from .simulation import Snapshot, run_trace
+from .simulation import Snapshot, stream_trace
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 2
@@ -154,11 +155,11 @@ def _read_input(source: str) -> str:
     return Path(source).read_text()
 
 
-def _write_output(text: str, out: str | None) -> None:
+def _write_output(chunks: Iterable[str], out: str | None) -> None:
     if out is None or out == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         return
-    write_text_atomic(out, text)
+    write_text_atomic(out, chunks)
 
 
 def _parse_session_range(text: str) -> tuple[int, ...]:
@@ -194,7 +195,7 @@ def cmd_allocate(args: argparse.Namespace) -> int:
     profile = _resolve_profile(args, params)
 
     snapshot = Snapshot.from_census(census, params, profile)
-    _write_output(dump_json(allocation_document(params, snapshot)), args.out)
+    _write_output((dump_json(allocation_document(params, snapshot)),), args.out)
     return EXIT_OK
 
 
@@ -203,8 +204,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     params = _resolve_params(args, doc_params)
     profile = _resolve_profile(args, params)
     trace = load_trace(args.trace)
-    result = run_trace(params, profile, census, trace)
-    _write_output(dump_json(trace_result_document(result)), args.out)
+    # Every input error is raised here, before the first byte is written.
+    rejections, snapshots = stream_trace(params, profile, census, trace)
+    _write_output(trace_result_chunks(rejections, snapshots), args.out)
     return EXIT_OK
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import os
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
 from typing import Any
@@ -18,7 +18,7 @@ from typing import Any
 from .allocation import MBPS, SessionCensus, SystemParams
 from .errors import DocumentError
 from .satisfaction import SchemeComparison
-from .simulation import EventKind, SimEvent, Snapshot, TraceResult
+from .simulation import EventKind, RejectedEvent, SimEvent, Snapshot, TraceResult
 
 
 def _require(doc: dict, key: str, kind: type, where: str) -> Any:
@@ -207,21 +207,38 @@ def snapshot_to_dict(snapshot: Snapshot) -> dict:
     return doc
 
 
+def _rejection_rows(rejections: Iterable[RejectedEvent]) -> list[dict]:
+    return [
+        {
+            "t": r.event.time,
+            "ev": r.event.kind.value,
+            "s": r.event.session_id,
+            "to": r.event.to_session,
+            "error": r.error,
+            "detail": r.detail,
+        }
+        for r in rejections
+    ]
+
+
 def trace_result_document(result: TraceResult) -> dict:
     return {
         "snapshots": [snapshot_to_dict(s) for s in result.snapshots],
-        "rejections": [
-            {
-                "t": r.event.time,
-                "ev": r.event.kind.value,
-                "s": r.event.session_id,
-                "to": r.event.to_session,
-                "error": r.error,
-                "detail": r.detail,
-            }
-            for r in result.rejections
-        ],
+        "rejections": _rejection_rows(result.rejections),
     }
+
+
+def trace_result_chunks(
+    rejections: Iterable[RejectedEvent], snapshots: Iterable[Snapshot]
+) -> Iterator[str]:
+    """``dump_json`` of the trace result document in pieces, one snapshot
+    at a time; there is at least one, the initial state's. Sorted keys put
+    every rejection before the first snapshot."""
+    rows = _json_chunks(_rejection_rows(rejections), 1)
+    yield '{\n  "rejections": ' + "".join(rows) + ',\n  "snapshots": ['
+    for i, snapshot in enumerate(snapshots):
+        yield ("," if i else "") + "\n    " + "".join(_json_chunks(snapshot_to_dict(snapshot), 2))
+    yield "\n  ]\n}\n"
 
 
 _PLAIN = frozenset((str, int, float, bool, type(None)))
@@ -259,6 +276,13 @@ def dump_json(doc: Any) -> str:
     containers are walked here; a value of any other type (a subclass, say)
     and a dict with a non-string key are left to the stdlib.
     """
+    out = _json_chunks(doc, 0)
+    out.append("\n")
+    return "".join(out)
+
+
+def _json_chunks(doc: Any, depth: int) -> list[str]:
+    """:func:`dump_json`'s text for ``doc`` at ``depth``, unjoined, no final newline."""
     encoders: dict[int, Callable[[Any, int], Sequence[str]]] = {}
     scalar = _chunk_encoder(",")
     out: list[str] = []
@@ -308,28 +332,31 @@ def dump_json(doc: Any) -> str:
                 write(value, depth + 1)
         out.extend((outer, closer))
 
-    write(doc, 0)
-    out.append("\n")
-    return "".join(out)
+    write(doc, depth)
+    return out
 
 
-def write_text_atomic(path: Path | str, text: str) -> None:
-    """Replace the file at ``path`` with ``text`` in one step.
+def write_text_atomic(path: Path | str, text: str | Iterable[str]) -> None:
+    """Replace the file at ``path`` with ``text``, a string or string chunks.
 
-    The text goes to a temporary file beside the target, which ``os.replace``
-    then moves over it, so a crash leaves either the old file or the new one,
-    never a partial one. A symlink is followed; a target that is not a
-    regular file (a device such as ``/dev/null``, a pipe) is written in place.
-    Missing parent directories are created.
+    The chunks go one by one to a temporary file beside the target, which
+    ``os.replace`` then moves over it, so a crash, or an error raised while
+    the chunks are made, leaves the old file or the new one, never a partial
+    one. A symlink is followed; a target that is not a regular file (a
+    device such as ``/dev/null``, a pipe) is written in place. Missing
+    parent directories are created.
     """
+    chunks = (text,) if isinstance(text, str) else text
     path = Path(path).resolve()
     if path.exists() and not path.is_file():
-        path.write_text(text)
+        with path.open("w") as file:
+            file.writelines(chunks)
         return
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_text(text)
+        with tmp.open("w") as file:
+            file.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

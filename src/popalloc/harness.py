@@ -8,6 +8,7 @@ the one seed recorded in the manifest.
 
 from __future__ import annotations
 
+import functools
 import logging
 import statistics
 from dataclasses import astuple, dataclass
@@ -87,10 +88,12 @@ class SweepRow:
     unchanged_mean: float
 
 
-def session_ids(session_count: int) -> list[str]:
+# A sweep draws every replication of one session count before the next.
+@functools.lru_cache(maxsize=1)
+def session_ids(session_count: int) -> tuple[str, ...]:
     """Zero-padded ids ("s01".."sM") so lexical order matches index order."""
     width = len(str(session_count))
-    return [f"s{i:0{width}d}" for i in range(1, session_count + 1)]
+    return tuple(f"s{i:0{width}d}" for i in range(1, session_count + 1))
 
 
 def random_census(

@@ -9,13 +9,16 @@ function of the current census.
 from __future__ import annotations
 
 import enum
+import functools
+import itertools
 import math
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .allocation import (
+    MAX_TOTAL_USERS,
     Allocation,
     Regime,
     SessionCensus,
@@ -118,24 +121,25 @@ class TraceResult:
     rejections: tuple[RejectedEvent, ...]
 
 
-def _updated_census(
-    census: SessionCensus, event: SimEvent, params: SystemParams
-) -> SessionCensus:
-    counts = census.counts()
-    kind = event.kind
-    sid = event.session_id
-
-    if kind in (EventKind.USER_JOIN, EventKind.USER_LEAVE, EventKind.USER_SWITCH,
-                EventKind.SESSION_STOP) and sid not in counts:
+def _apply_counts(
+    counts: dict[str, int], event: SimEvent, params: SystemParams, total: int
+) -> int:
+    """Apply ``event`` to ``counts`` in place and return the new total
+    audience. Raises, before any change, what :func:`apply_event` raises."""
+    kind, sid = event.kind, event.session_id
+    if kind is not EventKind.SESSION_START and sid not in counts:
         raise UnknownSession(f"session {sid!r} is not active")
-
     if kind is EventKind.USER_JOIN:
+        if total >= MAX_TOTAL_USERS:
+            raise InfeasibleCapacity("event would make the total audience too large for a float")
         counts[sid] += 1
-    elif kind is EventKind.USER_LEAVE:
+        return total + 1
+    if kind is EventKind.USER_LEAVE:
         if counts[sid] == 0:
             raise EmptySession(f"session {sid!r} has no users to leave")
         counts[sid] -= 1
-    elif kind is EventKind.USER_SWITCH:
+        return total - 1
+    if kind is EventKind.USER_SWITCH:
         target = event.to_session
         if target not in counts:
             raise UnknownSession(f"session {target!r} is not active")
@@ -146,20 +150,18 @@ def _updated_census(
     elif kind is EventKind.SESSION_START:
         if sid in counts:
             raise DuplicateSession(f"session {sid!r} is already active")
+        if classify_regime(params, len(counts) + 1) is Regime.INFEASIBLE:
+            raise InfeasibleCapacity(
+                f"event would leave {len(counts) + 1} sessions, more than the floor supports"
+            )
         counts[sid] = 0
     elif kind is EventKind.SESSION_STOP:
         if len(counts) == 1:
             # An empty system has no allocation to maintain; refuse rather
             # than model it.
             raise InfeasibleCapacity("stopping the last session leaves nothing to allocate")
-        del counts[sid]
-
-    updated = SessionCensus.from_counts(counts)
-    if classify_regime(params, updated.session_count) is Regime.INFEASIBLE:
-        raise InfeasibleCapacity(
-            f"event would leave {updated.session_count} sessions, more than the floor supports"
-        )
-    return updated
+        return total - counts.pop(sid)
+    return total
 
 
 def apply_event(
@@ -172,8 +174,38 @@ def apply_event(
     :class:`DuplicateSession`) or would make the system infeasible
     (:class:`InfeasibleCapacity`); the caller keeps the old state.
     """
-    census = _updated_census(state.census, event, params)
-    return Snapshot.from_census(census, params, profile, event.time)
+    counts = state.census.counts()
+    _apply_counts(counts, event, params, state.census.total_users)
+    return Snapshot.from_census(SessionCensus.from_counts(counts), params, profile, event.time)
+
+
+def stream_trace(
+    params: SystemParams,
+    profile: LayerProfile,
+    initial: SessionCensus,
+    trace: Sequence[SimEvent],
+) -> tuple[tuple[RejectedEvent, ...], Iterator[Snapshot]]:
+    """Replay a time-ordered trace: the rejected events, found on audience
+    counts alone, and an iterator that evaluates the snapshot of the initial
+    state (at t=0) and of each accepted event as it is reached. Input errors
+    (:class:`TraceOrder`, an infeasible initial census) raise first."""
+    counts, total = initial.counts(), initial.total_users
+    rejections: list[RejectedEvent] = []
+    accepted: list[SimEvent] = []
+    previous = 0.0
+    for event in trace:
+        if event.time < previous:
+            raise TraceOrder(f"event at t={event.time} follows one at t={previous}")
+        previous = event.time
+        try:
+            total = _apply_counts(counts, event, params, total)
+        except (UnknownSession, EmptySession, DuplicateSession, InfeasibleCapacity) as exc:
+            rejections.append(RejectedEvent(event, type(exc).__name__, str(exc)))
+        else:
+            accepted.append(event)
+    first = Snapshot.from_census(initial, params, profile)
+    step = functools.partial(apply_event, params=params, profile=profile)
+    return tuple(rejections), itertools.accumulate(accepted, step, initial=first)
 
 
 def run_trace(
@@ -182,31 +214,9 @@ def run_trace(
     initial: SessionCensus,
     trace: Sequence[SimEvent],
 ) -> TraceResult:
-    """Replay a time-ordered trace from an initial census.
-
-    The result holds one snapshot for the initial state (at t=0) plus one per
-    accepted event; rejected events are recorded with their error and leave
-    the state untouched. Raises :class:`TraceOrder` if timestamps regress.
-    """
-    previous = None
-    for event in trace:
-        if previous is not None and event.time < previous:
-            raise TraceOrder(
-                f"event at t={event.time} follows one at t={previous}"
-            )
-        previous = event.time
-
-    state = Snapshot.from_census(initial, params, profile)
-    snapshots = [state]
-    rejections: list[RejectedEvent] = []
-    for event in trace:
-        try:
-            state = apply_event(state, event, params, profile)
-        except (UnknownSession, EmptySession, DuplicateSession, InfeasibleCapacity) as exc:
-            rejections.append(RejectedEvent(event, type(exc).__name__, str(exc)))
-            continue
-        snapshots.append(state)
-    return TraceResult(tuple(snapshots), tuple(rejections))
+    """:func:`stream_trace` with every snapshot kept."""
+    rejections, snapshots = stream_trace(params, profile, initial, trace)
+    return TraceResult(tuple(snapshots), rejections)
 
 
 @dataclass(frozen=True)

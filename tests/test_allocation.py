@@ -23,6 +23,7 @@ from popalloc import (
     rank_sessions,
     surplus_coefficients,
 )
+from popalloc.allocation import MAX_TOTAL_USERS
 from checks import assert_allocation_invariants
 from conftest import WORKED_RATES_MBPS
 from oracles import rational_cascade
@@ -127,6 +128,16 @@ def test_census_validation():
         SessionCensus.from_counts([("s1", -1)])
     with pytest.raises(ValueError):
         SessionCensus.from_counts([("s1", 1.5)])
+
+
+def test_census_total_audience_must_convert_to_a_float():
+    assert math.isfinite(float(MAX_TOTAL_USERS))
+    with pytest.raises(OverflowError):
+        float(MAX_TOTAL_USERS + 1)
+    census = SessionCensus.from_counts([("s1", MAX_TOTAL_USERS - 1), ("s2", 1)])
+    assert census.total_users == MAX_TOTAL_USERS
+    with pytest.raises(ValueError, match="too large to convert to a float"):
+        SessionCensus.from_counts([("s1", MAX_TOTAL_USERS), ("s2", 1)])
 
 
 @pytest.mark.parametrize("users", [True, False])

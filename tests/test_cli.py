@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import popalloc
 from popalloc.cli import main
 from conftest import WORKED_COUNTS, WORKED_RATES_MBPS
 
@@ -101,6 +104,22 @@ def test_allocate_deeply_nested_json_exits_3(tmp_path, capsys):
     path.write_text(DEEP_JSON)
     assert main(["allocate", "--input", str(path)]) == 3
     assert capsys.readouterr().err.startswith("error: invalid JSON: ")
+
+
+# An exact JSON integer beyond the float range, and two counts that fit one
+# by one but not in sum.
+HUGE_COUNTS = [[10**400, 1], [2**1023, 2**1023]]
+
+
+@pytest.mark.parametrize("counts", HUGE_COUNTS, ids=["one", "sum"])
+@pytest.mark.parametrize("capacity", [3, 30], ids=["constrained", "saturated"])
+def test_allocate_audience_beyond_float_range_exits_3(tmp_path, capsys, counts, capacity):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario_doc(counts, capacity=capacity)))
+    assert main(["allocate", "--input", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "error: total audience is too large to convert to a float\n"
+    assert captured.out == ""
 
 
 def test_allocate_missing_file_exits_4(tmp_path):
@@ -239,6 +258,68 @@ def test_simulate_infeasible_initial_census_exits_2(tmp_path):
     assert main(["simulate", "--input", str(path), "--trace", str(trace_path)]) == 2
 
 
+JOIN_AT_1 = '{"t": 1.0, "ev": "join", "s": "s01"}\n'
+JOIN_AT_2 = '{"t": 2.0, "ev": "join", "s": "s02"}\n'
+SIMULATE_FILES = ["events.jsonl", "run.json", "scenario.json"]
+
+
+def simulate_inputs(tmp_path, counts=(5, 3), trace="", capacity=30):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(scenario_doc(list(counts), capacity=capacity)))
+    trace_path = tmp_path / "events.jsonl"
+    trace_path.write_text(trace)
+    return ["simulate", "--input", str(scenario), "--trace", str(trace_path)]
+
+
+@pytest.mark.parametrize(
+    "case, code",
+    [
+        ({"counts": [1] * 60}, 2),
+        ({"trace": JOIN_AT_2 + JOIN_AT_1}, 3),
+        ({"trace": JOIN_AT_1 + '{"t": 2.0, "ev": "hop", "s": "s01"}\n'}, 3),
+        *(({"counts": counts}, 3) for counts in HUGE_COUNTS),
+    ],
+    ids=["infeasible", "trace-order", "bad-trace-line", "huge-audience", "huge-audience-sum"],
+)
+@pytest.mark.parametrize("to_stdout", [False, True], ids=["out", "stdout"])
+def test_simulate_input_error_writes_nothing(tmp_path, capsys, case, code, to_stdout):
+    # Every input error is found before the first byte of the document.
+    argv = simulate_inputs(tmp_path, **case)
+    out = tmp_path / "run.json"
+    out.write_text("previous run\n")
+    assert main(argv if to_stdout else [*argv, "--out", str(out)]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+    assert out.read_text() == "previous run\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == SIMULATE_FILES
+
+
+def test_failed_simulate_keeps_existing_output(tmp_path, monkeypatch, capsys):
+    # The cascade breaks on the third snapshot, after two have been written
+    # to the temporary file.
+    import popalloc.satisfaction as satisfaction_module
+    from popalloc import InternalInvariantError
+
+    real = satisfaction_module.popularity_allocate
+    calls = []
+
+    def breaks_third(params, ranked):
+        calls.append(ranked)
+        if len(calls) == 3:
+            raise InternalInvariantError("cascade overflow at final rank")
+        return real(params, ranked)
+
+    monkeypatch.setattr(satisfaction_module, "popularity_allocate", breaks_third)
+    argv = simulate_inputs(tmp_path, trace=JOIN_AT_1 + JOIN_AT_2)
+    out = tmp_path / "run.json"
+    out.write_text("previous run\n")
+    assert main([*argv, "--out", str(out)]) == 5
+    assert capsys.readouterr().err == "error: internal: cascade overflow at final rank\n"
+    assert out.read_text() == "previous run\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == SIMULATE_FILES
+
+
 # ---------------------------------------------------------------------------
 # sweep
 # ---------------------------------------------------------------------------
@@ -314,6 +395,40 @@ def test_sweep_zipf_matches_library(tmp_path):
 # ---------------------------------------------------------------------------
 # module execution
 # ---------------------------------------------------------------------------
+
+
+# Runs ``simulate`` and prints the child's own peak RSS in KiB to stderr.
+PEAK_RSS_CHILD = """\
+import resource, sys
+from popalloc.cli import main
+code = main(sys.argv[1:])
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def test_simulate_memory_does_not_grow_with_the_trace(tmp_path):
+    # Only the parsed trace (~0.35 KB per event) may grow with the events;
+    # a run that kept every snapshot grew by ~90 MB between these two.
+    argv = simulate_inputs(tmp_path, counts=(5, 3, 0))
+    env = dict(os.environ, PYTHONPATH=str(Path(popalloc.__file__).parents[1]))
+    peaks = []
+    for events in (1_000, 10_000):
+        trace = tmp_path / f"events_{events}.jsonl"
+        trace.write_text("".join(
+            f'{{"t": {i}.0, "ev": "switch", "s": "s0{1 + i % 2}", "to": "s0{2 - i % 2}"}}\n'
+            for i in range(events)
+        ))
+        argv[-1] = str(trace)
+        proc = subprocess.run(
+            [sys.executable, "-c", PEAK_RSS_CHILD, *argv, "--out", str(tmp_path / "run.json")],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        peaks.append(int(proc.stderr.split()[-1]))
+        text = (tmp_path / "run.json").read_text()
+        assert text.count('\n    {\n      "average_satisfaction"') == events + 1
+    assert peaks[1] - peaks[0] < 10 * 1024
 
 
 def test_module_invocation_smoke(tmp_path):

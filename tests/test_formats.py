@@ -6,12 +6,23 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
-from popalloc import DocumentError, EventKind, LayerProfile, SimEvent, run_trace
+from popalloc import (
+    DocumentError,
+    EventKind,
+    LayerProfile,
+    SimEvent,
+    SystemParams,
+    TraceGenConfig,
+    generate_trace,
+    run_trace,
+    stream_trace,
+)
 from popalloc.cli import main
 from popalloc.formats import (
     dump_json,
     parse_scenario_document,
     parse_trace,
+    trace_result_chunks,
     trace_result_document,
     trace_text,
     write_text_atomic,
@@ -191,6 +202,39 @@ def test_dump_json_trace_document_matches_stdlib(reference_params):
     result = run_trace(reference_params, profile, census_of([40, 10] + [5] * 18), trace)
     doc = trace_result_document(result)
     assert dump_json(doc) == stdlib_json(doc)
+
+
+TRACE_IDS = ["s001", "s002", "s003", "s004", "new", "ghost"]
+
+
+@st.composite
+def replays(draw):
+    """A census of 1-4 sessions at 3 Mbps (the floor fits 5) and either a
+    random trace, mostly rejected, or a generated one that rejects nothing."""
+    census = census_of(draw(st.lists(st.integers(0, 4), min_size=1, max_size=4)))
+    if draw(st.booleans()):
+        weights = {"join": 1.0, "leave": 1.0, "switch": 2.0}
+        config = TraceGenConfig(census, draw(st.integers(0, 12)), weights)
+        return census, generate_trace(config, draw(st.integers(0, 99)))
+    trace, t = [], 0.0
+    steps = st.tuples(
+        st.sampled_from([0.0, 0.5, 1.25]), st.sampled_from(list(EventKind)),
+        st.sampled_from(TRACE_IDS), st.sampled_from(TRACE_IDS),
+    )
+    for gap, kind, sid, to in draw(st.lists(steps, max_size=12)):
+        t += gap
+        trace.append(SimEvent(t, kind, sid, to if kind is EventKind.USER_SWITCH else None))
+    return census, trace
+
+
+@given(replays())
+def test_streamed_trace_matches_whole_document(replay):
+    census, trace = replay
+    params = SystemParams.from_mbps(3, 2, 0.6)
+    profile = LayerProfile.from_mbps(0.6, 0.25)
+    streamed = "".join(trace_result_chunks(*stream_trace(params, profile, census, trace)))
+    whole = dump_json(trace_result_document(run_trace(params, profile, census, trace)))
+    assert streamed == whole
 
 
 def test_dump_json_allocation_document_matches_stdlib(capsys):

@@ -13,7 +13,7 @@ from popalloc import (
     run_sweep,
 )
 from popalloc.cli import main
-from popalloc.harness import sweep_csv_text, CSV_COLUMNS
+from popalloc.harness import session_ids, sweep_csv_text, CSV_COLUMNS
 
 DATA = Path(__file__).parent / "data"
 
@@ -169,6 +169,13 @@ def test_empty_rows_give_header_only():
     assert sweep_csv_text([]) == ",".join(CSV_COLUMNS) + "\n"
 
 
+def test_session_ids_are_one_shared_tuple():
+    ids = session_ids(12)
+    assert ids == tuple(f"s{i:02d}" for i in range(1, 13))
+    # Built once per session count and immutable, so sharing it is safe.
+    assert session_ids(12) is ids and isinstance(ids, tuple)
+
+
 def test_single_row_gives_two_lines():
     rows = run_sweep(reference_config(session_counts=(20,), replications=1))
     assert sweep_csv_text(rows).count("\n") == 2
@@ -203,6 +210,25 @@ def test_golden_simulate_json(tmp_path):
     ]
     assert main(argv) == 0
     assert out.read_bytes() == (DATA / "churn_m23.expected.json").read_bytes()
+
+
+@pytest.mark.parametrize("to_stdout", [False, True], ids=["out", "stdout"])
+def test_golden_simulate_rejections_json(tmp_path, capsys, to_stdout):
+    # 3 sessions at 2 Mbps, so the floor fits no 4th. The trace hits every
+    # rejection: UnknownSession on join, leave, switch from and to, and stop;
+    # EmptySession on leave and switch; DuplicateSession; InfeasibleCapacity
+    # on a start past the floor and on stopping the last session. The
+    # expected file was written by the CLI that still built the whole
+    # document before writing it.
+    out = tmp_path / "run.json"
+    argv = [
+        "simulate",
+        "--input", str(DATA / "rejections_m3_scenario.json"),
+        "--trace", str(DATA / "rejections_m3_trace.jsonl"),
+    ]
+    assert main(argv if to_stdout else [*argv, "--out", str(out)]) == 0
+    text = capsys.readouterr().out.encode() if to_stdout else out.read_bytes()
+    assert text == (DATA / "rejections_m3.expected.json").read_bytes()
 
 
 def test_golden_sweep_outputs(tmp_path):

@@ -22,6 +22,7 @@ from popalloc import (
     random_census,
     run_trace,
 )
+from popalloc.allocation import MAX_TOTAL_USERS
 from popalloc.formats import dump_json, snapshot_to_dict, trace_result_document
 from checks import assert_allocation_invariants
 from test_allocation import census_of
@@ -191,6 +192,20 @@ def test_rejected_events_recorded_and_skipped(reference_params):
     assert len(result.snapshots) == 2  # initial + one accepted
     assert [r.error for r in result.rejections] == ["UnknownSession", "EmptySession"]
     assert result.snapshots[-1].census.counts() == {"s001": 6, "s002": 0}
+
+
+def test_join_past_float_range_rejected(reference_params):
+    # The census holds the largest total audience a float can take, so a
+    # join is refused, a leave then frees room for one.
+    census = SessionCensus.from_counts([("s001", MAX_TOTAL_USERS - 3), ("s002", 3)])
+    trace = [join(1.0, "s002"), leave(2.0, "s001"), join(3.0, "s002"), join(4.0, "s001")]
+    result = run_trace(reference_params, PROFILE, census, trace)
+    assert [(r.event.time, r.error) for r in result.rejections] == [
+        (1.0, "InfeasibleCapacity"), (4.0, "InfeasibleCapacity")
+    ]
+    assert result.snapshots[-1].census.counts() == {"s001": MAX_TOTAL_USERS - 4, "s002": 4}
+    for snap in result.snapshots:
+        assert_allocation_invariants(reference_params, snap.census, snap.popularity)
 
 
 def test_allocation_is_memoryless(reference_params):
