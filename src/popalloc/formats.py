@@ -8,6 +8,7 @@ shortest round-trip floats, so identical inputs produce byte-identical files.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 from collections.abc import Callable, Iterable, Iterator, Sequence
@@ -241,11 +242,21 @@ def trace_result_chunks(
     yield "\n  ]\n}\n"
 
 
-_PLAIN = frozenset((str, int, float, bool, type(None)))
 _CONTAINERS = frozenset((dict, list, tuple))
 _STR = frozenset((str,))
+# The stdlib's text for each plain type; a float's only when it is finite.
+_TEXT: dict[type, Callable[[Any], str]] = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: float.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+_PLAIN = frozenset(_TEXT)
+_NONFINITE = frozenset(("nan", "inf", "-inf"))
 
 
+@functools.lru_cache(maxsize=None)  # one entry per indent depth in use
 def _chunk_encoder(item_separator: str) -> Callable[[Any, int], Sequence[str]]:
     """A sorted-key encoder with no newlines of its own, returning chunks to
     join: the caller puts the newline and indent of a depth into
@@ -254,27 +265,56 @@ def _chunk_encoder(item_separator: str) -> Callable[[Any, int], Sequence[str]]:
     if c_make_encoder is None:
         return lambda o, _level: (encoder.encode(o),)
     # The arguments JSONEncoder.iterencode passes, minus the circular-check
-    # markers: callers hand it only scalars and containers at most two deep.
+    # markers: callers hand it only plain scalars and flat containers of them.
     return c_make_encoder(
         None, encoder.default, encode_basestring_ascii, None,
         ": ", item_separator, True, False, True,
     )
 
 
-def _is_plain(values: Iterable[Any]) -> bool:
-    return _PLAIN.issuperset(map(type, values))
+def _row_template(
+    rows: Sequence[Any], depth: int, columns: list[list[str]], nest: bool
+) -> str | None:
+    """One ``%`` template for ``rows``, dicts at ``depth`` with the same
+    string keys, each field's column of text appended to ``columns``; None
+    if a row or value does not fit. Values are plain scalars of exact type,
+    floats finite; if ``nest``, a column may hold dicts that fit one template."""
+    first = rows[0]
+    if type(first) is not dict or not first or not _STR.issuperset(map(type, first)):
+        return None
+    keys = first.keys()
+    if not all(type(row) is dict and row.keys() == keys for row in rows):
+        return None
+    fields = []
+    for key in sorted(keys):
+        column = [row[key] for row in rows]
+        kinds = set(map(type, column))
+        if nest and kinds == {dict}:
+            field = _row_template(column, depth + 1, columns, False)
+        elif _PLAIN.issuperset(kinds):
+            encode = _TEXT[next(iter(kinds))] if len(kinds) == 1 else lambda v: _TEXT[type(v)](v)
+            columns.append(list(map(encode, column)))
+            field = "%s" if float not in kinds or _NONFINITE.isdisjoint(columns[-1]) else None
+        else:
+            field = None
+        if field is None:
+            return None
+        fields.append(encode_basestring_ascii(key).replace("%", "%%") + ": " + field)
+    inner, outer = "\n" + "  " * (depth + 1), "\n" + "  " * depth
+    return "{" + inner + ("," + inner).join(fields) + outer + "}"
 
 
 def dump_json(doc: Any) -> str:
     """Exactly ``json.dumps(doc, sort_keys=True, indent=2) + "\n"``, faster.
 
-    The stdlib encodes with ``indent`` in pure Python. Here every container
-    of plain scalars, and every list of flat rows, is one call to the C
-    encoder with the newline and indent of its depth in the item separator;
-    only the brackets are placed by hand. Encoded strings hold no raw
-    newline, so ``"},\n" + indent + "{"`` can only be a row boundary. Other
-    containers are walked here; a value of any other type (a subclass, say)
-    and a dict with a non-string key are left to the stdlib.
+    The stdlib encodes with ``indent`` in pure Python. Here a list of dict
+    rows that share one key shape, holding plain scalars or flat dicts of
+    them, is one ``%`` template filled column by column from ``_TEXT``. Any
+    other container of plain scalars is one call to the C encoder with the
+    newline and indent of its depth in the item separator. Other containers,
+    row lists that fail the template's checks among them, are walked item
+    by item; a value of any other type (a subclass, say) and a dict with a
+    non-string key are left to the stdlib, errors included.
     """
     out = _json_chunks(doc, 0)
     out.append("\n")
@@ -283,36 +323,25 @@ def dump_json(doc: Any) -> str:
 
 def _json_chunks(doc: Any, depth: int) -> list[str]:
     """:func:`dump_json`'s text for ``doc`` at ``depth``, unjoined, no final newline."""
-    encoders: dict[int, Callable[[Any, int], Sequence[str]]] = {}
-    scalar = _chunk_encoder(",")
     out: list[str] = []
-
-    def encode(o: Any, depth: int) -> str:
-        if depth not in encoders:
-            encoders[depth] = _chunk_encoder(",\n" + "  " * depth)
-        return "".join(encoders[depth](o, 0))
 
     def write(o: Any, depth: int) -> None:
         kind = type(o)
         if kind in _PLAIN or (kind in _CONTAINERS and not o):
-            out.append("".join(scalar(o, 0)))
+            out.append("".join(_chunk_encoder(",")(o, 0)))
             return
         outer, inner = "\n" + "  " * depth, "\n" + "  " * (depth + 1)
         if kind not in _CONTAINERS or (kind is dict and not _STR.issuperset(map(type, o))):
             out.append(json.dumps(o, sort_keys=True, indent=2).replace("\n", outer))
             return
-        if _is_plain(o.values() if kind is dict else o):
-            text = encode(o, depth + 1)
+        if _PLAIN.issuperset(map(type, o.values() if kind is dict else o)):
+            text = "".join(_chunk_encoder("," + inner)(o, 0))
             out.extend((text[0], inner, text[1:-1], outer, text[-1]))
             return
-        if kind is not dict and all(
-            type(row) is dict and row and _is_plain(row.values()) for row in o
-        ):
-            innermost = inner + "  "
-            text = encode(o, depth + 2).replace(
-                "}," + innermost + "{", inner + "}," + inner + "{" + innermost
-            )
-            out.extend(("[", inner, "{", innermost, text[2:-2], inner, "}", outer, "]"))
+        columns: list[list[str]] = []
+        if kind is not dict and (template := _row_template(o, depth + 1, columns, True)):
+            rows = map(template.__mod__, zip(*columns))
+            out.extend(("[", inner, ("," + inner).join(rows), outer, "]"))
             return
         if kind is dict:
             opener, closer = "{", "}"
@@ -324,12 +353,8 @@ def _json_chunks(doc: Any, depth: int) -> list[str]:
             opener, closer = "[", "]"
             items = [(inner, value) for value in o]
         for i, (head, value) in enumerate(items):
-            head = ("," if i else opener) + head
-            if type(value) in _PLAIN:
-                out.append(head + "".join(scalar(value, 0)))
-            else:
-                out.append(head)
-                write(value, depth + 1)
+            out.append(("," if i else opener) + head)
+            write(value, depth + 1)
         out.extend((outer, closer))
 
     write(doc, depth)

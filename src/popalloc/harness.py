@@ -40,6 +40,15 @@ CSV_COLUMNS = (
 )
 
 DISTRIBUTIONS = ("uniform", "zipf")
+# numpy's multinomial draws a census from a C int64 count.
+MAX_DRAWN_USERS = 2**63 - 1
+
+
+def _check_total_users(total_users: int) -> None:
+    if not 0 <= total_users <= MAX_DRAWN_USERS:
+        raise ValueError(
+            f"total_users must be between 0 and {MAX_DRAWN_USERS}, got {total_users}"
+        )
 
 
 @dataclass(frozen=True)
@@ -61,8 +70,7 @@ class ScenarioConfig:
             raise ValueError("session_counts must not be empty")
         if any(m < 1 for m in self.session_counts):
             raise ValueError("every session count must be >= 1")
-        if self.total_users < 0:
-            raise ValueError(f"total_users must be >= 0, got {self.total_users}")
+        _check_total_users(self.total_users)
         if self.dist not in DISTRIBUTIONS:
             raise ValueError(f"dist must be one of {DISTRIBUTIONS}, got {self.dist!r}")
         if self.dist == "zipf" and not self.zipf_s > 0:
@@ -112,8 +120,7 @@ def random_census(
     """
     if session_count < 1:
         raise ValueError(f"session_count must be >= 1, got {session_count}")
-    if total_users < 0:
-        raise ValueError(f"total_users must be >= 0, got {total_users}")
+    _check_total_users(total_users)
     if not isinstance(seed, np.random.SeedSequence):
         seed = np.random.SeedSequence(seed)
     rng = np.random.Generator(np.random.PCG64(seed))

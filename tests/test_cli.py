@@ -122,6 +122,20 @@ def test_allocate_audience_beyond_float_range_exits_3(tmp_path, capsys, counts, 
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command", ["allocate", "sweep"])
+def test_users_beyond_int64_exits_3(tmp_path, capsys, command):
+    # numpy's multinomial, which draws the census, takes a C int64 count.
+    out = tmp_path / "out.csv"
+    argv = [command, *PARAM_FLAGS, "--sessions", "3", "--users", str(2**63), "--out", str(out)]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"error: total_users must be between 0 and {2**63 - 1}, got {2**63}\n"
+    )
+    assert captured.out == ""
+    assert os.listdir(tmp_path) == []
+
+
 def test_allocate_missing_file_exits_4(tmp_path):
     assert main(["allocate", "--input", str(tmp_path / "absent.json")]) == 4
 

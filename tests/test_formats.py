@@ -11,23 +11,30 @@ from popalloc import (
     EventKind,
     LayerProfile,
     SimEvent,
+    Snapshot,
     SystemParams,
     TraceGenConfig,
     generate_trace,
+    random_census,
     run_trace,
     stream_trace,
 )
 from popalloc.cli import main
 from popalloc.formats import (
+    _row_template,
+    allocation_document,
     dump_json,
     parse_scenario_document,
     parse_trace,
+    snapshot_to_dict,
     trace_result_chunks,
     trace_result_document,
     trace_text,
     write_text_atomic,
 )
 from test_allocation import census_of
+
+PROFILE = LayerProfile.from_mbps(0.6, 0.25)
 
 SCENARIO = """
 {"capacity_mbps": 30, "beta_max_mbps": 2, "beta_min_mbps": 0.6,
@@ -136,8 +143,12 @@ class Count(int):
     pass
 
 
-# Strings that look like the writer's own separators and row boundaries.
-TRICKY_TEXT = ["", '"', "\n", "},\n    {", "},\n  {", ",\n  ", "\\", "}", "{", "é", "雪 ☃", "\u2028"]
+# Strings that look like the writer's own separators, row boundaries and
+# template placeholders.
+TRICKY_TEXT = [
+    "", '"', "\n", "},\n    {", "},\n  {", ",\n  ", "\\", "}", "{", "é", "雪 ☃", "\u2028",
+    "%", "%s", "%%", "%(a)s", "100%",
+]
 
 texts = st.text() | st.sampled_from(TRICKY_TEXT)
 scalars = (
@@ -179,6 +190,85 @@ def test_dump_json_row_lists_match_stdlib(named_rows, depth):
     assert dump_json(doc) == stdlib_json(doc)
 
 
+# What one row of a list may hold in a column the other rows share.
+column_values = st.sampled_from([
+    st.none() | texts,
+    st.booleans() | st.integers(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers() | st.sampled_from([2**64, 10**40]),
+    texts,
+])
+ODD_VALUES = [-0.0, float("nan"), float("inf"), float("-inf"), Ratio(0.5), Count(3), None, True]
+
+
+@st.composite
+def shaped_rows(draw):
+    """Rows that share one key shape, some with a flat nested dict like the
+    allocate ``layers``, then at most one row changed at either level: an
+    odd value, a key added or dropped, or a dict swapped with a scalar."""
+    top = {key: draw(column_values) for key in draw(st.lists(texts, min_size=1, max_size=4))}
+    inner = {key: draw(column_values) for key in draw(st.lists(texts, min_size=1, max_size=3))}
+    nest_key = draw(st.none() | texts)
+    rows = []
+    for _ in range(draw(st.integers(1, 5))):
+        row = {key: draw(values) for key, values in top.items()}
+        if nest_key is not None:
+            row[nest_key] = {key: draw(values) for key, values in inner.items()}
+        rows.append(row)
+    row = draw(st.sampled_from(rows))
+    target = row if nest_key is None or draw(st.booleans()) else row[nest_key]
+    key = draw(st.sampled_from(sorted(target)))
+    change = draw(st.sampled_from(["none", "odd", "add", "drop", "dict"]))
+    if change == "odd":
+        target[key] = draw(st.sampled_from(ODD_VALUES))
+    elif change == "add":
+        target[draw(texts)] = draw(scalars)
+    elif change == "drop":
+        del target[key]
+    elif change == "dict":
+        target[key] = draw(st.sampled_from([{}, {"x": 1}, {"x": [1]}, 0, "layers"]))
+    return rows
+
+
+@given(shaped_rows(), st.integers(0, 2))
+def test_dump_json_shaped_rows_match_stdlib(rows, depth):
+    doc = rows
+    for _ in range(depth):
+        doc = {"rows": doc, "n": len(rows)}
+    assert dump_json(doc) == stdlib_json(doc)
+
+
+LAYERS = {"enhancements": 3, "granted_mbps": 1.75, "residual_mbps": 0.05}
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [{"id": "s1", "layers": LAYERS, "rank": 1}, {"id": "s2", "layers": LAYERS, "rank": 2}],
+        [{"%": 1, "%s": {"%%": 2.5, "%(a)s": "%"}}, {"%": 2, "%s": {"%%": -0.0, "%(a)s": "%d"}}],
+        [{"a": 1, "b": 2}, {"a": 1, "c": 2}],
+        [{"a": 1, "n": {"x": 1}}, {"a": 1, "n": {"y": 1}}],
+        [{"a": {"x": 1}}, {"a": 2}],
+        [{"a": 2}, {"a": {"x": 1}}],
+        [{"a": {"x": 1}}, {"a": {}}],
+        [{"to": None, "s": "a"}, {"to": "b", "s": "c"}],
+        [{"v": True, "n": 1}, {"v": 0, "n": False}],
+        [{"r": 1.5}, {"r": -0.0}],
+        *([{"r": 1.5}, {"r": odd}] for odd in [float("nan"), float("inf"), float("-inf")]),
+        [{"r": {"x": 1.5}}, {"r": {"x": float("nan")}}],
+        [{"r": 1.5, "n": 1}, {"r": Ratio(2.5), "n": 2}],
+        [{"r": 1.5, "n": 1}, {"r": 2.5, "n": Count(2)}],
+        [{"a": 1}, {}],
+        [{}, {}],
+        [{"a": {}}, {"a": {}}],
+        [{"a": 1}, [1]],
+    ],
+)
+def test_dump_json_row_shapes_match_stdlib(rows):
+    for doc in (rows, {"rows": rows}, [{"rows": tuple(rows)}]):
+        assert dump_json(doc) == stdlib_json(doc)
+
+
 @pytest.mark.parametrize(
     "doc",
     [[object()], {"a": [1, {"b": {1, 2}}]}, {"a": {1: 2, "b": [3]}}, [{"a": 1, 2: 3}]],
@@ -201,6 +291,7 @@ def test_dump_json_trace_document_matches_stdlib(reference_params):
     ]
     result = run_trace(reference_params, profile, census_of([40, 10] + [5] * 18), trace)
     doc = trace_result_document(result)
+    assert _row_template(doc["rejections"], 2, [], True) is not None
     assert dump_json(doc) == stdlib_json(doc)
 
 
@@ -243,6 +334,26 @@ def test_dump_json_allocation_document_matches_stdlib(capsys):
     assert main(argv) == 0
     text = capsys.readouterr().out
     assert text == stdlib_json(json.loads(text))
+
+
+def test_dump_json_allocate_rows_at_scale():
+    # 2000 sessions, each with a nested ``layers`` dict: the rows go through
+    # one template, and the document still matches the stdlib byte for byte.
+    params = SystemParams.from_mbps(2000, 2, 0.6)
+    census = random_census(2000, 200_000, "zipf", 11)
+    doc = allocation_document(params, Snapshot.from_census(census, params, PROFILE))
+    assert _row_template(doc["sessions"], 2, [], True) is not None
+    assert dump_json(doc) == stdlib_json(doc)
+
+
+def test_streamed_snapshot_at_scale():
+    params = SystemParams.from_mbps(1000, 2, 0.6)
+    snapshot = Snapshot.from_census(random_census(1000, 100_000, "zipf", 12), params, PROFILE)
+    doc = snapshot_to_dict(snapshot)
+    for rows in (doc["census"], doc["popularity"], doc["plans"]):
+        assert _row_template(rows, 3, [], True) is not None
+    streamed = "".join(trace_result_chunks([], [snapshot]))
+    assert streamed == stdlib_json({"rejections": [], "snapshots": [doc]})
 
 
 # ---------------------------------------------------------------------------

@@ -81,6 +81,13 @@ def test_zero_users_allowed():
     assert census.total_users == 0
 
 
+def test_users_up_to_int64_limit_drawn():
+    census = random_census(3, 2**63 - 1, "zipf", 1)
+    assert census.total_users == 2**63 - 1
+    with pytest.raises(ValueError, match="total_users"):
+        random_census(3, 2**63)
+
+
 def test_bad_arguments_rejected():
     with pytest.raises(ValueError):
         random_census(0, 10)
