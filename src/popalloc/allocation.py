@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import enum
 import math
-from collections.abc import Iterable, Mapping
+import operator
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -220,6 +221,10 @@ def rank_sessions(census: SessionCensus) -> RankedCensus:
     return RankedCensus._from_ranking(census, ordered)
 
 
+def _surplus_per_user(params: SystemParams, session_count: int, total_users: int) -> float:
+    return (params.capacity - session_count * params.min_session_rate) / total_users
+
+
 def surplus_coefficients(
     params: SystemParams, census: SessionCensus
 ) -> tuple[float, float]:
@@ -233,8 +238,7 @@ def surplus_coefficients(
     total_users = census.total_users
     if total_users == 0:
         raise ZeroAudience("no users in any session; surplus per user is undefined")
-    spare = params.capacity - census.session_count * params.min_session_rate
-    return spare / total_users, headroom
+    return _surplus_per_user(params, census.session_count, total_users), headroom
 
 
 def equal_share_rate(params: SystemParams, session_count: int) -> float:
@@ -259,9 +263,14 @@ def equal_share_allocate(
 
 
 def popularity_allocate(
-    params: SystemParams, ranked: RankedCensus
-) -> tuple[Allocation, SurplusLedger]:
+    params: SystemParams, users: Sequence[int]
+) -> tuple[list[float], SurplusLedger]:
     """Allocate capacity by audience size, respecting floor and cap.
+
+    ``users`` holds each session's audience in rank order, most-watched
+    first (see :func:`rank_sessions`); the rates come back in the same
+    order. Counts that increase anywhere, a negative count, or a total too
+    large for a float raise :class:`ValueError`.
 
     In the saturated regime every session simply gets the cap. Otherwise
     each session starts at the floor and claims its audience share of the
@@ -270,7 +279,7 @@ def popularity_allocate(
     each is trimmed to the cap and splits its excess evenly over the
     sessions after it, which raises the shift.
 
-    Returns the allocation (entries in rank order) and the cascade ledger.
+    Returns the rates and the cascade ledger.
     Raises :class:`InfeasibleCapacity` when even the floor does not fit. The
     last rank cannot overflow in exact arithmetic; an overshoot there within
     ``ROUNDING_SLACK`` of capacity is float rounding and is clamped to the
@@ -280,30 +289,32 @@ def popularity_allocate(
     capacity sits at M times the floor, the split can round an ulp below
     the floor and is raised to it.
     """
-    if not isinstance(ranked, RankedCensus):
-        raise TypeError("popularity_allocate needs a RankedCensus; call rank_sessions first")
-    regime = classify_regime(params, ranked.session_count)
-    headroom = params.max_session_rate - params.min_session_rate
+    session_count = len(users)
+    if any(map(operator.lt, users, users[1:])):
+        raise ValueError("user counts must be in rank order (non-increasing)")
+    if session_count and users[-1] < 0:
+        raise ValueError(f"user counts must be non-negative, got {users[-1]!r}")
+    regime = classify_regime(params, session_count)
     if regime is Regime.INFEASIBLE:
         raise InfeasibleCapacity(
-            f"{ranked.session_count} sessions need at least "
-            f"{ranked.session_count * params.min_session_rate / MBPS:g} Mbps of floor, "
+            f"{session_count} sessions need at least "
+            f"{session_count * params.min_session_rate / MBPS:g} Mbps of floor, "
             f"capacity is {params.capacity / MBPS:g} Mbps"
         )
-    session_count = ranked.session_count
-    if regime is Regime.SATURATED or ranked.total_users == 0:
+    total_users = sum(users)
+    if total_users > MAX_TOTAL_USERS:
+        raise ValueError("total audience is too large to convert to a float")
+    if regime is Regime.SATURATED or total_users == 0:
         uniform = max(equal_share_rate(params, session_count), params.min_session_rate)
-        entries = tuple(
-            SessionRate(entry.session_id, uniform) for entry in ranked.entries
-        )
         ledger = SurplusLedger(0.0, session_count if regime is Regime.SATURATED else 0, 0.0)
-        return Allocation(Scheme.POPULARITY, regime, entries), ledger
+        return [uniform] * session_count, ledger
 
-    coefficient, _ = surplus_coefficients(params, ranked)
+    headroom = params.max_session_rate - params.min_session_rate
+    coefficient = _surplus_per_user(params, session_count, total_users)
     capped = 0
     shift = 0.0
-    for entry in ranked.entries:
-        claim = coefficient * entry.users + shift
+    for count in users:
+        claim = coefficient * count + shift
         if claim < headroom:
             break
         capped += 1
@@ -316,13 +327,7 @@ def popularity_allocate(
             raise InternalInvariantError(
                 f"cascade overflow at final rank (claim {claim} > headroom {headroom})"
             )
-    cap, floor = params.max_session_rate, params.min_session_rate
-    entries = tuple(
-        SessionRate(
-            entry.session_id,
-            cap if position < capped else floor + (coefficient * entry.users + shift),
-        )
-        for position, entry in enumerate(ranked.entries)
-    )
-    allocation = Allocation(Scheme.POPULARITY, regime, entries)
-    return allocation, SurplusLedger(coefficient, capped, shift)
+    floor = params.min_session_rate
+    rates = [params.max_session_rate] * capped
+    rates += [floor + (coefficient * count + shift) for count in users[capped:]]
+    return rates, SurplusLedger(coefficient, capped, shift)

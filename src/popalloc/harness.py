@@ -11,14 +11,25 @@ from __future__ import annotations
 import functools
 import logging
 import statistics
+from collections.abc import Iterator
 from dataclasses import astuple, dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .allocation import MBPS, Regime, SessionCensus, SystemParams, classify_regime
+from .allocation import (
+    MBPS,
+    Regime,
+    SessionCensus,
+    SystemParams,
+    classify_regime,
+    equal_share_rate,
+    popularity_allocate,
+)
 from .formats import dump_json, write_text_atomic
-from .satisfaction import evaluate
+from .satisfaction import _compare
+
+if TYPE_CHECKING:
+    import numpy as np
 
 logger = logging.getLogger(__name__)
 
@@ -96,12 +107,26 @@ class SweepRow:
     unchanged_mean: float
 
 
-# A sweep draws every replication of one session count before the next.
+# Callers that draw many censuses draw them at one session count in a row.
 @functools.lru_cache(maxsize=1)
 def session_ids(session_count: int) -> tuple[str, ...]:
     """Zero-padded ids ("s01".."sM") so lexical order matches index order."""
     width = len(str(session_count))
     return tuple(f"s{i:0{width}d}" for i in range(1, session_count + 1))
+
+
+def _probabilities(session_count: int, dist: str, zipf_s: float):
+    """Each session's chance of drawing a user, as the multinomial takes it."""
+    import numpy as np
+
+    if dist == "uniform":
+        return np.full(session_count, 1.0 / session_count)
+    if dist == "zipf":
+        if not zipf_s > 0:
+            raise ValueError(f"zipf exponent must be positive, got {zipf_s}")
+        weights = np.arange(1, session_count + 1, dtype=float) ** -zipf_s
+        return weights / weights.sum()
+    raise ValueError(f"dist must be one of {DISTRIBUTIONS}, got {dist!r}")
 
 
 def random_census(
@@ -116,26 +141,32 @@ def random_census(
     ``uniform`` sends each user to an independently, uniformly chosen
     session. ``zipf`` weights the session at index m (1-based) by m**-s
     before the same multinomial assignment. Counts always sum exactly to
-    ``total_users``. Sweeps pass a spawned ``SeedSequence`` as the seed.
+    ``total_users``. The seed may be a spawned ``SeedSequence``: with
+    ``SeedSequence(seed, spawn_key=(M, replication))`` this is the census
+    that replication of a sweep draws.
     """
+    import numpy as np
+
     if session_count < 1:
         raise ValueError(f"session_count must be >= 1, got {session_count}")
     _check_total_users(total_users)
     if not isinstance(seed, np.random.SeedSequence):
         seed = np.random.SeedSequence(seed)
-    rng = np.random.Generator(np.random.PCG64(seed))
-    if dist == "uniform":
-        probs = np.full(session_count, 1.0 / session_count)
-    elif dist == "zipf":
-        if not zipf_s > 0:
-            raise ValueError(f"zipf exponent must be positive, got {zipf_s}")
-        weights = np.arange(1, session_count + 1, dtype=float) ** -zipf_s
-        probs = weights / weights.sum()
-    else:
-        raise ValueError(f"dist must be one of {DISTRIBUTIONS}, got {dist!r}")
-    counts = rng.multinomial(total_users, probs)
-    ids = session_ids(session_count)
-    return SessionCensus.from_counts(zip(ids, counts.tolist()))
+    probs = _probabilities(session_count, dist, zipf_s)
+    counts = np.random.Generator(np.random.PCG64(seed)).multinomial(total_users, probs)
+    return SessionCensus.from_counts(zip(session_ids(session_count), counts.tolist()))
+
+
+def _replication_counts(config: ScenarioConfig, session_count: int) -> Iterator[list[int]]:
+    """Each replication's audience counts at ``session_count``, in session
+    index order, drawn exactly as :func:`random_census` draws them."""
+    import numpy as np
+
+    probs = _probabilities(session_count, config.dist, config.zipf_s)
+    for replication in range(config.replications):
+        seed = np.random.SeedSequence(config.seed, spawn_key=(session_count, replication))
+        rng = np.random.Generator(np.random.PCG64(seed))
+        yield rng.multinomial(config.total_users, probs).tolist()
 
 
 def infeasible_session_counts(config: ScenarioConfig) -> list[int]:
@@ -164,11 +195,15 @@ def run_sweep(config: ScenarioConfig) -> list[SweepRow]:
                 config.params.capacity / MBPS,
             )
             continue
+        # Only the counts in rank order matter to the cascade and the
+        # scores, and equal counts are interchangeable, so each replication
+        # is scored on its sorted draw without building a census.
+        eq_rate = equal_share_rate(config.params, m)
         comparisons = []
-        for replication in range(config.replications):
-            subseed = np.random.SeedSequence(entropy=config.seed, spawn_key=(m, replication))
-            census = random_census(m, config.total_users, config.dist, subseed, config.zipf_s)
-            comparisons.append(evaluate(config.params, census).comparison)
+        for counts in _replication_counts(config, m):
+            counts.sort(reverse=True)
+            rates, _ = popularity_allocate(config.params, counts)
+            comparisons.append(_compare(config.params, eq_rate, counts, rates))
         equal = [c.avg_satisfaction_equal for c in comparisons]
         popularity = [c.avg_satisfaction_popularity for c in comparisons]
         # statistics.mean/pstdev aggregate exactly (rational arithmetic), so

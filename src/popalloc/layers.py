@@ -14,6 +14,10 @@ from dataclasses import dataclass
 from .allocation import MBPS, Allocation, SystemParams
 from .errors import ProfileInfeasible
 
+# The quantizer steps from a layer count to the next one, and from 2**53 on
+# a count and its successor convert to the same float.
+MAX_ENHANCEMENT_LAYERS = 2**53 - 1
+
 
 @dataclass(frozen=True)
 class LayerProfile:
@@ -50,11 +54,20 @@ class LayeredPlan:
 
 
 def check_profile_fits(params: SystemParams, profile: LayerProfile) -> None:
-    """Reject profiles whose base layer exceeds the guaranteed floor."""
+    """Reject profiles whose base layer exceeds the guaranteed floor, or
+    whose enhancement layers are so thin that more than
+    ``MAX_ENHANCEMENT_LAYERS`` fit under the cap."""
     if profile.base_rate > params.min_session_rate:
         raise ProfileInfeasible(
             f"base layer {profile.base_rate / MBPS:g} Mbps exceeds the session "
             f"floor {params.min_session_rate / MBPS:g} Mbps"
+        )
+    layers = (params.max_session_rate - profile.base_rate) / profile.enhancement_rate
+    if layers > MAX_ENHANCEMENT_LAYERS:
+        raise ProfileInfeasible(
+            f"enhancement layer {profile.enhancement_rate / MBPS:g} Mbps fits "
+            f"{layers:g} times between the base layer and the cap, more than "
+            f"the {MAX_ENHANCEMENT_LAYERS} layers the quantizer counts exactly"
         )
 
 

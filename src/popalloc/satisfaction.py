@@ -7,6 +7,7 @@ session by its audience.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .allocation import (
@@ -15,6 +16,7 @@ from .allocation import (
     Regime,
     Scheme,
     SessionCensus,
+    SessionRate,
     SurplusLedger,
     SystemParams,
     classify_regime,
@@ -120,6 +122,34 @@ def satisfaction_report(
     return SatisfactionReport(allocation.scheme, per_session, average)
 
 
+def _compare(
+    params: SystemParams,
+    eq_rate: float,
+    users: Sequence[int],
+    rates: Sequence[float],
+) -> SchemeComparison:
+    """Score popularity ``rates`` against the equal share ``eq_rate``, both
+    for sessions with ``users`` in rank order."""
+    improved = degraded = unchanged = 0
+    for count, rate in zip(users, rates):
+        delta_mbps = (rate - eq_rate) / MBPS
+        if abs(delta_mbps) <= RATE_TIE_TOLERANCE_MBPS:
+            unchanged += count
+        elif delta_mbps > 0:
+            improved += count
+        else:
+            degraded += count
+    avg_equal = equal_share_satisfaction(params, len(users))
+    total_users = improved + degraded + unchanged
+    if total_users == 0:
+        avg_popularity = avg_equal
+    else:
+        max_rate = params.max_session_rate
+        weighted = sum(rate / max_rate * count for count, rate in zip(users, rates))
+        avg_popularity = weighted / total_users
+    return SchemeComparison(improved, degraded, unchanged, avg_equal, avg_popularity)
+
+
 def evaluate(params: SystemParams, census: SessionCensus) -> Evaluation:
     """Rank once, run the cascade once, and score both schemes.
 
@@ -132,32 +162,16 @@ def evaluate(params: SystemParams, census: SessionCensus) -> Evaluation:
     fallback is the even split. Propagates :class:`InfeasibleCapacity` when
     the floor does not fit.
     """
-    ranked = rank_sessions(census)
-    allocation, ledger = popularity_allocate(params, ranked)
-    eq_rate = equal_share_rate(params, ranked.session_count)
-    per_session: dict[str, float] = {}
-    improved = degraded = unchanged = 0
-    for counted, granted in zip(ranked.entries, allocation.entries):
-        per_session[granted.session_id] = granted.rate / params.max_session_rate
-        delta_mbps = (granted.rate - eq_rate) / MBPS
-        if abs(delta_mbps) <= RATE_TIE_TOLERANCE_MBPS:
-            unchanged += counted.users
-        elif delta_mbps > 0:
-            improved += counted.users
-        else:
-            degraded += counted.users
-
-    avg_equal = equal_share_satisfaction(params, ranked.session_count)
-    total_users = ranked.total_users
-    if total_users == 0:
-        avg_popularity = avg_equal
-    else:
-        weighted = sum(
-            satisfaction * entry.users
-            for satisfaction, entry in zip(per_session.values(), ranked.entries)
-        )
-        avg_popularity = weighted / total_users
-    comparison = SchemeComparison(improved, degraded, unchanged, avg_equal, avg_popularity)
+    ranked = rank_sessions(census).entries
+    users = [entry.users for entry in ranked]
+    rates, ledger = popularity_allocate(params, users)
+    ids = [entry.session_id for entry in ranked]
+    regime = classify_regime(params, len(ids))
+    allocation = Allocation(Scheme.POPULARITY, regime, tuple(map(SessionRate, ids, rates)))
+    max_rate = params.max_session_rate
+    per_session = {sid: rate / max_rate for sid, rate in zip(ids, rates)}
+    eq_rate = equal_share_rate(params, len(ids))
+    comparison = _compare(params, eq_rate, users, rates)
     return Evaluation(allocation, ledger, eq_rate, per_session, comparison)
 
 

@@ -15,8 +15,6 @@ import math
 from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .allocation import (
     MAX_TOTAL_USERS,
     Allocation,
@@ -251,6 +249,8 @@ def generate_trace(config: TraceGenConfig, seed: int) -> list[SimEvent]:
     users (the generator tracks counts as it goes), so replaying the trace
     from ``config.census`` never rejects an event.
     """
+    import numpy as np
+
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     counts = config.census.counts()
     ids = sorted(counts)

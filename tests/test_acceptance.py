@@ -26,8 +26,7 @@ from popalloc import (
     equal_share_satisfaction,
     generate_trace,
     plan_total_rate,
-    popularity_allocate,
-    rank_sessions,
+    evaluate,
     run_sweep,
     run_trace,
     session_satisfaction,
@@ -55,7 +54,7 @@ def criterion(label):
 
 def test_c1_worked_allocation(worked_census):
     with criterion("criterion 1: worked 20-session allocation and metrics"):
-        allocation, _ = popularity_allocate(REFERENCE_PARAMS, rank_sessions(worked_census))
+        allocation = evaluate(REFERENCE_PARAMS, worked_census).allocation
         for entry, want_mbps in zip(allocation.entries, WORKED_RATES_MBPS, strict=True):
             assert entry.rate / 1e6 == pytest.approx(want_mbps, rel=1e-9)
         assert allocation.total_rate == pytest.approx(30e6, rel=1e-9)
@@ -91,7 +90,7 @@ def test_c2_dominance_property_suite():
                 counts = [rng.randint(0, per_session_max) for _ in range(m)]
             census = census_of(counts)
 
-            allocation, _ = popularity_allocate(params, rank_sessions(census))
+            allocation = evaluate(params, census).allocation
             assert_allocation_invariants(params, census, allocation)
 
             result = compare_schemes(params, census)
@@ -106,7 +105,7 @@ def test_c2_dominance_property_suite():
             scaled = SessionCensus.from_counts(
                 (e.session_id, e.users * 7) for e in census.entries
             )
-            scaled_rates = popularity_allocate(params, rank_sessions(scaled))[0].rates()
+            scaled_rates = evaluate(params, scaled).allocation.rates()
             for entry in allocation.entries:
                 assert math.isclose(
                     scaled_rates[entry.session_id], entry.rate, rel_tol=1e-9
@@ -130,9 +129,7 @@ def test_c3_exact_rational_oracle_grid():
                     params = SystemParams(
                         capacity_kbps * 1000.0, cap_kbps * 1000.0, floor_kbps * 1000.0
                     )
-                    allocation, _ = popularity_allocate(
-                        params, rank_sessions(census_of(counts))
-                    )
+                    allocation = evaluate(params, census_of(counts)).allocation
                     expected = rational_cascade(
                         capacity_kbps, cap_kbps, floor_kbps, counts
                     )
@@ -150,7 +147,7 @@ def test_c4_regime_boundaries():
         for m in range(1, 16):
             counts = [rng.randint(0, 50) for _ in range(m)]
             census = census_of(counts)
-            allocation, _ = popularity_allocate(REFERENCE_PARAMS, rank_sessions(census))
+            allocation = evaluate(REFERENCE_PARAMS, census).allocation
             assert all(e.rate == 2e6 for e in allocation.entries)
             assert equal_share_satisfaction(REFERENCE_PARAMS, m) == 1.0
             per = session_satisfaction(REFERENCE_PARAMS, allocation)
@@ -162,7 +159,7 @@ def test_c4_regime_boundaries():
         for m in (51, 55, 60):
             assert classify_regime(REFERENCE_PARAMS, m) is Regime.INFEASIBLE
             with pytest.raises(InfeasibleCapacity):
-                popularity_allocate(REFERENCE_PARAMS, rank_sessions(census_of([1] * m)))
+                evaluate(REFERENCE_PARAMS, census_of([1] * m))
 
         for m in (51, 60):
             code = main(

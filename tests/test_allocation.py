@@ -38,7 +38,7 @@ def census_of(counts, prefix="s"):
 
 
 def pop_rates(params, counts):
-    allocation, _ = popularity_allocate(params, rank_sessions(census_of(counts)))
+    allocation = evaluate(params, census_of(counts)).allocation
     return [e.rate for e in allocation.entries]
 
 
@@ -216,7 +216,7 @@ def test_two_session_cascade():
 
 def test_two_session_cascade_ledger():
     params = SystemParams.from_mbps(3, 2, 0.6)
-    _, ledger = popularity_allocate(params, rank_sessions(census_of([190, 10])))
+    ledger = evaluate(params, census_of([190, 10])).ledger
     assert ledger.surplus_coefficient == pytest.approx(9_000.0, rel=1e-12)
     assert ledger.capped == 1
     assert ledger.shift == pytest.approx(0.31e6, rel=1e-12)
@@ -227,7 +227,8 @@ def test_final_rank_overshoot_within_rounding_is_clamped():
     # to exactly the headroom, which used to raise InternalInvariantError.
     params = SystemParams.from_mbps(7.999999999999999, 2, 0.6)
     census = census_of([3, 33, 43, 3])
-    allocation, ledger = popularity_allocate(params, rank_sessions(census))
+    evaluation = evaluate(params, census)
+    allocation, ledger = evaluation.allocation, evaluation.ledger
     assert allocation.regime is Regime.CONSTRAINED
     assert [e.rate for e in allocation.entries] == [params.max_session_rate] * 4
     assert ledger.capped == 4
@@ -240,10 +241,10 @@ def test_final_rank_overshoot_beyond_rounding_raises(monkeypatch):
     params = SystemParams.from_mbps(3, 2, 0.6)
     # A coefficient far too large overflows every rank, the last one too.
     monkeypatch.setattr(
-        allocation_module, "surplus_coefficients", lambda p, c: (1e9, 1.4e6)
+        allocation_module, "_surplus_per_user", lambda p, m, total: 1e9
     )
     with pytest.raises(InternalInvariantError, match="final rank"):
-        popularity_allocate(params, rank_sessions(census_of([190, 10])))
+        evaluate(params, census_of([190, 10]))
 
 
 def test_uniform_counts_match_even_split(reference_params):
@@ -253,9 +254,8 @@ def test_uniform_counts_match_even_split(reference_params):
 
 
 def test_worked_twenty_session_vector(reference_params, worked_census):
-    allocation, ledger = popularity_allocate(
-        reference_params, rank_sessions(worked_census)
-    )
+    evaluation = evaluate(reference_params, worked_census)
+    allocation, ledger = evaluation.allocation, evaluation.ledger
     rates = [e.rate / 1e6 for e in allocation.entries]
     for got, want in zip(rates, WORKED_RATES_MBPS):
         assert got == pytest.approx(want, rel=1e-9)
@@ -267,9 +267,8 @@ def test_worked_twenty_session_vector(reference_params, worked_census):
 
 
 def test_saturated_allocates_cap(reference_params):
-    allocation, ledger = popularity_allocate(
-        reference_params, rank_sessions(census_of([100, 50, 10, 5, 1, 0, 0, 0, 0, 0]))
-    )
+    evaluation = evaluate(reference_params, census_of([100, 50, 10, 5, 1, 0, 0, 0, 0, 0]))
+    allocation, ledger = evaluation.allocation, evaluation.ledger
     assert allocation.regime is Regime.SATURATED
     assert all(e.rate == 2e6 for e in allocation.entries)
     assert ledger.capped == 10
@@ -278,13 +277,12 @@ def test_saturated_allocates_cap(reference_params):
 
 def test_infeasible_raises(reference_params):
     with pytest.raises(InfeasibleCapacity):
-        popularity_allocate(reference_params, rank_sessions(census_of([1] * 60)))
+        evaluate(reference_params, census_of([1] * 60))
 
 
 def test_zero_audience_falls_back_to_even_split(reference_params):
-    allocation, ledger = popularity_allocate(
-        reference_params, rank_sessions(census_of([0] * 20))
-    )
+    evaluation = evaluate(reference_params, census_of([0] * 20))
+    allocation, ledger = evaluation.allocation, evaluation.ledger
     assert all(e.rate == pytest.approx(1.5e6, rel=1e-12) for e in allocation.entries)
     assert ledger.surplus_coefficient == 0.0
 
@@ -296,8 +294,16 @@ def test_single_constrained_session_gets_capacity():
 
 
 def test_requires_ranked_census(reference_params):
-    with pytest.raises(TypeError):
-        popularity_allocate(reference_params, census_of([3, 2, 1]))
+    # The cascade takes audience counts in rank order, most-watched first.
+    rates, _ = popularity_allocate(reference_params, [3, 2, 2, 1] + [0] * 16)
+    assert rates == pop_rates(reference_params, [3, 2, 2, 1] + [0] * 16)
+    for counts in ([1, 2], [3, 2, 1, 2], [0] * 19 + [1]):
+        with pytest.raises(ValueError, match="rank order"):
+            popularity_allocate(reference_params, counts)
+    with pytest.raises(ValueError, match="non-negative"):
+        popularity_allocate(reference_params, [3, 2, -1])
+    with pytest.raises(ValueError, match="too large"):
+        popularity_allocate(reference_params, [MAX_TOTAL_USERS, 1])
 
 
 def test_zero_user_session_still_gets_floor(reference_params):
@@ -326,7 +332,8 @@ def constrained_setups(draw, max_sessions=24, max_count=300):
 @given(constrained_setups())
 def test_constrained_invariants(setup):
     params, census = setup
-    allocation, ledger = popularity_allocate(params, rank_sessions(census))
+    evaluation = evaluate(params, census)
+    allocation, ledger = evaluation.allocation, evaluation.ledger
     assert_allocation_invariants(params, census, allocation)
     assert ledger.shift >= 0.0
     assert 0 <= ledger.capped <= census.session_count
@@ -387,11 +394,11 @@ def test_guarantees_at_float_boundaries(setup):
 @given(constrained_setups())
 def test_audience_scale_invariance(setup):
     params, census = setup
-    base = popularity_allocate(params, rank_sessions(census))[0].rates()
+    base = evaluate(params, census).allocation.rates()
     scaled_census = SessionCensus.from_counts(
         (e.session_id, e.users * 7) for e in census.entries
     )
-    scaled = popularity_allocate(params, rank_sessions(scaled_census))[0].rates()
+    scaled = evaluate(params, scaled_census).allocation.rates()
     for sid, rate in base.items():
         assert scaled[sid] == pytest.approx(rate, rel=1e-9)
 
@@ -399,11 +406,11 @@ def test_audience_scale_invariance(setup):
 @given(constrained_setups(), st.randoms(use_true_random=False))
 def test_permutation_invariance(setup, rnd):
     params, census = setup
-    baseline = popularity_allocate(params, rank_sessions(census))[0].rates()
+    baseline = evaluate(params, census).allocation.rates()
     shuffled_entries = list(census.entries)
     rnd.shuffle(shuffled_entries)
     shuffled = SessionCensus(tuple(shuffled_entries))
-    rates = popularity_allocate(params, rank_sessions(shuffled))[0].rates()
+    rates = evaluate(params, shuffled).allocation.rates()
     assert rates == baseline  # bit-exact: identical ranked order, identical ops
 
 
@@ -412,7 +419,7 @@ def test_permutation_invariance(setup, rnd):
 def test_matches_rational_oracle(setup):
     params, census = setup
     ranked = rank_sessions(census)
-    allocation, _ = popularity_allocate(params, ranked)
+    allocation = evaluate(params, census).allocation
     expected = rational_cascade(
         int(params.capacity / KBPS),
         int(params.max_session_rate / KBPS),

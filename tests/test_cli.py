@@ -456,3 +456,54 @@ def test_module_invocation_smoke(tmp_path):
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["regime"] == "saturated"
+
+
+def run_python(*args):
+    """Run a fresh interpreter on ``args``; a hang fails the test at the
+    timeout instead of stalling the suite."""
+    env = dict(os.environ, PYTHONPATH=str(Path(popalloc.__file__).parents[1]))
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=30,
+    )
+
+
+NUMPY_LOADED_CHILD = """\
+import sys
+import popalloc.cli
+print("numpy" in sys.modules, file=sys.stderr)
+code = popalloc.cli.main(sys.argv[1:])
+print("numpy" in sys.modules, file=sys.stderr)
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("command, draws", [("allocate", False), ("simulate", False), ("random", True)])
+def test_numpy_loaded_only_for_random_draws(tmp_path, scenario_path, command, draws):
+    if command == "allocate":
+        argv = ["allocate", "--input", str(scenario_path)]
+    elif command == "simulate":
+        argv = simulate_inputs(tmp_path, trace=JOIN_AT_1)
+    else:
+        argv = ["allocate", *PARAM_FLAGS, "--sessions", "20", "--users", "200"]
+    proc = run_python("-c", NUMPY_LOADED_CHILD, *argv, "--out", str(tmp_path / "out.json"))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.split() == ["False", str(draws)]
+
+
+@pytest.mark.parametrize(
+    "enh_mbps, code",
+    # 1.4 Mbps of headroom holds 8.75e15 layers of 1.6e-16 Mbps, under 2**53,
+    # and 9.3e15 of 1.5e-16 Mbps, over it; 1e-25 Mbps once hung the quantizer.
+    [("1.6e-16", 0), ("1.5e-16", 2), ("1e-25", 2)],
+)
+def test_enhancement_layer_count_bound(tmp_path, enh_mbps, code):
+    argv = ["allocate", *PARAM_FLAGS, "--sessions", "20", "--users", "200"]
+    out = tmp_path / "allocation.json"
+    proc = run_python("-m", "popalloc", *argv, "--enh-layer-mbps", enh_mbps, "--out", str(out))
+    assert proc.returncode == code, proc.stderr
+    if code == 0:
+        layers = [s["layers"] for s in json.loads(out.read_text())["sessions"]]
+        assert max(plan["enhancements"] for plan in layers) > 2**52
+    else:
+        assert proc.stderr.startswith("error: enhancement layer ")
+        assert "Traceback" not in proc.stderr and not out.exists()

@@ -2,18 +2,25 @@ import json
 import statistics
 from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from popalloc import (
+    Regime,
     ScenarioConfig,
+    SweepRow,
     SystemParams,
+    classify_regime,
     compare_schemes,
     emit_sweep_outputs,
+    evaluate,
+    popularity_allocate,
     random_census,
     run_sweep,
 )
 from popalloc.cli import main
-from popalloc.harness import session_ids, sweep_csv_text, CSV_COLUMNS
+from popalloc.harness import DISTRIBUTIONS, session_ids, sweep_csv_text, CSV_COLUMNS
 
 DATA = Path(__file__).parent / "data"
 
@@ -165,6 +172,68 @@ def test_row_matches_direct_replication():
         census = random_census(20, 200, "uniform", seq)
         values.append(compare_schemes(config.params, census).avg_satisfaction_popularity)
     assert row.avg_sat_prop_mean == float(statistics.mean(values))
+
+
+@st.composite
+def sweep_configs(draw):
+    """Sweeps whose session counts reach the saturated, constrained and
+    infeasible regimes, with audiences of 0, 1, a few or 2**63 - 1 users."""
+    floor_kbps = draw(st.integers(100, 1000))
+    cap_kbps = floor_kbps + draw(st.integers(0, 2000))
+    capacity_kbps = draw(st.integers(floor_kbps, 40 * floor_kbps))
+    most_feasible = capacity_kbps // floor_kbps
+    dist = draw(st.sampled_from(DISTRIBUTIONS))
+    return ScenarioConfig(
+        params=SystemParams(capacity_kbps * 1e3, cap_kbps * 1e3, floor_kbps * 1e3),
+        session_counts=tuple(
+            draw(st.lists(st.integers(1, most_feasible + 2), min_size=1, max_size=4))
+        ),
+        total_users=draw(st.one_of(st.sampled_from([0, 1, 2**63 - 1]), st.integers(2, 500))),
+        dist=dist,
+        zipf_s=draw(st.floats(0.1, 3.0)) if dist == "zipf" else 1.0,
+        replications=draw(st.integers(1, 20)),
+        seed=draw(st.integers(0, 2**64)),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(sweep_configs())
+def test_sweep_rows_equal_per_census_evaluation(config):
+    """Each row is the exact aggregate of evaluating every replication's
+    census on its own."""
+    import numpy as np
+
+    expected = []
+    for m in config.session_counts:
+        if classify_regime(config.params, m) is Regime.INFEASIBLE:
+            continue
+        comparisons = []
+        for replication in range(config.replications):
+            seed = np.random.SeedSequence(config.seed, spawn_key=(m, replication))
+            census = random_census(m, config.total_users, config.dist, seed, config.zipf_s)
+            comparisons.append(evaluate(config.params, census).comparison)
+            ascending = sorted(census.counts().values())
+            if ascending[0] != ascending[-1]:
+                with pytest.raises(ValueError, match="rank order"):
+                    popularity_allocate(config.params, ascending)
+        equal = [c.avg_satisfaction_equal for c in comparisons]
+        popularity = [c.avg_satisfaction_popularity for c in comparisons]
+        expected.append(
+            SweepRow(
+                m,
+                config.dist,
+                config.replications,
+                config.seed,
+                float(statistics.mean(equal)),
+                float(statistics.pstdev(equal)),
+                float(statistics.mean(popularity)),
+                float(statistics.pstdev(popularity)),
+                float(statistics.mean([c.improved_users for c in comparisons])),
+                float(statistics.mean([c.degraded_users for c in comparisons])),
+                float(statistics.mean([c.unchanged_users for c in comparisons])),
+            )
+        )
+    assert run_sweep(config) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -14,10 +14,9 @@ from popalloc import (
     SystemParams,
     check_profile_fits,
     equal_share_allocate,
+    evaluate,
     plan_total_rate,
-    popularity_allocate,
     quantize_allocation,
-    rank_sessions,
 )
 from test_allocation import census_of
 
@@ -77,7 +76,7 @@ def test_quantize_equal_share_below_base_raises(reference_params):
 
 
 def test_plans_in_allocation_order(reference_params, worked_census):
-    allocation, _ = popularity_allocate(reference_params, rank_sessions(worked_census))
+    allocation = evaluate(reference_params, worked_census).allocation
     plans = quantize_allocation(allocation, LayerProfile.from_mbps(0.6, 0.25))
     assert [p.session_id for p in plans] == [e.session_id for e in allocation.entries]
 
@@ -94,11 +93,25 @@ def test_total_rate_single():
 
 
 def test_worked_allocation_total_under_capacity(reference_params, worked_census):
-    allocation, _ = popularity_allocate(reference_params, rank_sessions(worked_census))
+    allocation = evaluate(reference_params, worked_census).allocation
     plans = quantize_allocation(allocation, LayerProfile.from_mbps(0.6, 0.25))
     total = plan_total_rate(plans)
     assert total <= 30e6 * (1 + 1e-9)
     assert total <= allocation.total_rate
+
+
+def test_profile_layer_count_bound(reference_params):
+    # 1.4 Mbps lies between the 0.6 Mbps base and the 2 Mbps cap.
+    at_bound = 1.4e6 / 2**53
+    with pytest.raises(ProfileInfeasible, match="enhancement layer"):
+        check_profile_fits(reference_params, LayerProfile(0.6e6, at_bound))
+    thinnest = math.nextafter(at_bound, math.inf)
+    profile = LayerProfile(0.6e6, thinnest)
+    check_profile_fits(reference_params, profile)
+    (plan,) = quantize_allocation(allocation_of([2.0]), profile)
+    count = plan.enhancement_count
+    assert count > 2**52
+    assert 0.6e6 + count * thinnest <= 2e6 < 0.6e6 + (count + 1) * thinnest
 
 
 def test_check_profile_fits(reference_params):

@@ -12,7 +12,7 @@ from popalloc import (
     equal_share_allocate,
     equal_share_rate,
     equal_share_satisfaction,
-    popularity_allocate,
+    evaluate,
     rank_sessions,
     satisfaction_report,
     session_satisfaction,
@@ -21,7 +21,7 @@ from test_allocation import census_of, constrained_setups
 
 
 def worked_allocation(params, census):
-    return popularity_allocate(params, rank_sessions(census))[0]
+    return evaluate(params, census).allocation
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +186,7 @@ def test_popularity_never_loses_on_average(setup):
 @given(constrained_setups())
 def test_weighted_sum_identity(setup):
     params, census = setup
-    allocation, _ = popularity_allocate(params, rank_sessions(census))
+    allocation = evaluate(params, census).allocation
     if census.total_users == 0 or allocation.regime is not Regime.CONSTRAINED:
         return
     average = average_satisfaction(params, allocation, census)
@@ -201,7 +201,7 @@ def test_weighted_sum_identity(setup):
 def test_improved_sessions_form_rank_prefix(setup):
     params, census = setup
     ranked = rank_sessions(census)
-    allocation, _ = popularity_allocate(params, ranked)
+    allocation = evaluate(params, census).allocation
     eq_rate = equal_share_rate(params, census.session_count)
     rates = allocation.rates()
 
