@@ -48,6 +48,7 @@ from .harness import (
 )
 from .layers import (
     LayeredPlan,
+    LayerPlans,
     LayerProfile,
     check_profile_fits,
     plan_total_rate,
@@ -92,6 +93,7 @@ __all__ = [
     "InternalInvariantError",
     "LayerProfile",
     "LayeredPlan",
+    "LayerPlans",
     "PopallocError",
     "ProfileInfeasible",
     "RankedCensus",

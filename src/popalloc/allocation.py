@@ -84,6 +84,20 @@ class SystemParams:
         return cls(capacity * MBPS, max_session_rate * MBPS, min_session_rate * MBPS)
 
 
+def _check_users(session_id: str, users: int) -> None:
+    if not isinstance(users, int) or isinstance(users, bool) or users < 0:
+        raise ValueError(
+            f"user count must be a non-negative integer, got {users!r} "
+            f"for session {session_id!r}"
+        )
+
+
+def _set_fields(obj: object, **fields: object) -> None:
+    """Fill a frozen dataclass built without its ``__init__``."""
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+
+
 @dataclass(frozen=True)
 class SessionCount:
     """One session id and its current audience size."""
@@ -92,27 +106,37 @@ class SessionCount:
     users: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.users, int) or isinstance(self.users, bool) or self.users < 0:
-            raise ValueError(
-                f"user count must be a non-negative integer, got {self.users!r} "
-                f"for session {self.session_id!r}"
-            )
+        _check_users(self.session_id, self.users)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SessionCensus:
-    """Audience snapshot: how many users watch each active session."""
+    """Audience snapshot: how many users watch each active session.
 
-    entries: tuple[SessionCount, ...]
+    Held as two parallel columns, ``session_ids`` and ``users``;
+    ``entries`` is a read-only view of them, built on first use.
+    """
 
-    def __post_init__(self) -> None:
-        if not self.entries:
+    session_ids: tuple[str, ...]
+    users: tuple[int, ...]
+
+    def __init__(self, entries: Iterable[SessionCount]) -> None:
+        entries = tuple(entries)
+        _set_fields(
+            self,
+            session_ids=tuple(entry.session_id for entry in entries),
+            users=tuple(entry.users for entry in entries),
+        )
+        self._validate()
+
+    def _validate(self) -> None:
+        if not self.session_ids:
             raise ValueError("census needs at least one session")
         seen: set[str] = set()
-        for entry in self.entries:
-            if entry.session_id in seen:
-                raise ValueError(f"duplicate session id {entry.session_id!r}")
-            seen.add(entry.session_id)
+        for sid in self.session_ids:
+            if sid in seen:
+                raise ValueError(f"duplicate session id {sid!r}")
+            seen.add(sid)
         if self.total_users > MAX_TOTAL_USERS:
             raise ValueError("total audience is too large to convert to a float")
 
@@ -120,38 +144,43 @@ class SessionCensus:
     def from_counts(
         cls, counts: Mapping[str, int] | Iterable[tuple[str, int]]
     ) -> SessionCensus:
-        items = counts.items() if isinstance(counts, Mapping) else counts
-        return cls(tuple(SessionCount(sid, users) for sid, users in items))
+        pairs = tuple(counts.items() if isinstance(counts, Mapping) else counts)
+        for sid, users in pairs:
+            _check_users(sid, users)
+        census = cls._of(tuple(sid for sid, _ in pairs), tuple(users for _, users in pairs))
+        census._validate()
+        return census
+
+    @classmethod
+    def _of(cls, session_ids: tuple[str, ...], users: tuple[int, ...]) -> SessionCensus:
+        """A census of columns already checked, not checked again."""
+        census = object.__new__(cls)
+        _set_fields(census, session_ids=session_ids, users=users)
+        return census
+
+    @cached_property
+    def entries(self) -> tuple[SessionCount, ...]:
+        return tuple(map(SessionCount, self.session_ids, self.users))
 
     @property
     def session_count(self) -> int:
-        return len(self.entries)
+        return len(self.session_ids)
 
     @cached_property
     def total_users(self) -> int:
-        return sum(entry.users for entry in self.entries)
+        return sum(self.users)
 
     def counts(self) -> dict[str, int]:
-        return {entry.session_id: entry.users for entry in self.entries}
+        return dict(zip(self.session_ids, self.users))
 
 
-@dataclass(frozen=True)
 class RankedCensus(SessionCensus):
     """A census ordered most-watched first; list position is the rank."""
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        for prev, cur in zip(self.entries, self.entries[1:]):
-            if cur.users > prev.users:
-                raise ValueError("ranked census must have non-increasing user counts")
-
-    @classmethod
-    def _from_ranking(cls, census: SessionCensus, ordered: list[SessionCount]) -> RankedCensus:
-        """A ranking of ``census``'s validated entries, not checked again."""
-        ranked = object.__new__(cls)
-        object.__setattr__(ranked, "entries", tuple(ordered))
-        object.__setattr__(ranked, "total_users", census.total_users)
-        return ranked
+    def _validate(self) -> None:
+        super()._validate()
+        if any(map(operator.lt, self.users, self.users[1:])):
+            raise ValueError("ranked census must have non-increasing user counts")
 
 
 @dataclass(frozen=True)
@@ -162,24 +191,54 @@ class SessionRate:
     rate: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Allocation:
     """Per-session rates plus the scheme and regime that produced them.
 
-    Entries keep the order they were built in; popularity allocations are in
-    rank order.
+    Held as two parallel columns, ``session_ids`` and ``session_rates``, in
+    the order they were built in; popularity allocations are in rank order.
+    ``entries`` is a read-only view of them, built on first use.
     """
 
     scheme: Scheme
     regime: Regime
-    entries: tuple[SessionRate, ...]
+    session_ids: tuple[str, ...]
+    session_rates: tuple[float, ...]
+
+    def __init__(self, scheme: Scheme, regime: Regime, entries: Iterable[SessionRate]) -> None:
+        entries = tuple(entries)
+        _set_fields(
+            self,
+            scheme=scheme,
+            regime=regime,
+            session_ids=tuple(entry.session_id for entry in entries),
+            session_rates=tuple(entry.rate for entry in entries),
+        )
+
+    @classmethod
+    def from_columns(
+        cls, scheme: Scheme, regime: Regime, session_ids: Sequence[str], rates: Sequence[float]
+    ) -> Allocation:
+        allocation = object.__new__(cls)
+        _set_fields(
+            allocation,
+            scheme=scheme,
+            regime=regime,
+            session_ids=tuple(session_ids),
+            session_rates=tuple(rates),
+        )
+        return allocation
+
+    @cached_property
+    def entries(self) -> tuple[SessionRate, ...]:
+        return tuple(map(SessionRate, self.session_ids, self.session_rates))
 
     def rates(self) -> dict[str, float]:
-        return {entry.session_id: entry.rate for entry in self.entries}
+        return dict(zip(self.session_ids, self.session_rates))
 
     @property
     def total_rate(self) -> float:
-        return sum(entry.rate for entry in self.entries)
+        return sum(self.session_rates)
 
 
 @dataclass(frozen=True)
@@ -211,14 +270,26 @@ def classify_regime(params: SystemParams, session_count: int) -> Regime:
     return Regime.INFEASIBLE
 
 
-def rank_sessions(census: SessionCensus) -> RankedCensus:
-    """Order sessions by audience size, largest first.
+def rank_order(census: SessionCensus) -> list[int]:
+    """The census's positions, largest audience first.
 
     Equal audiences are ordered by ascending session id so the ranking is
-    deterministic; equal counts receive equal rates anyway.
+    deterministic; equal counts receive equal rates anyway. This is the
+    order of ``(-users, session_id)``: a sort by id, then a stable one by
+    audience.
     """
-    ordered = sorted(census.entries, key=lambda e: (-e.users, e.session_id))
-    return RankedCensus._from_ranking(census, ordered)
+    order = sorted(range(census.session_count), key=census.session_ids.__getitem__)
+    order.sort(key=census.users.__getitem__, reverse=True)
+    return order
+
+
+def rank_sessions(census: SessionCensus) -> RankedCensus:
+    """The census in :func:`rank_order`, most-watched first."""
+    order = rank_order(census)
+    return RankedCensus._of(
+        tuple(map(census.session_ids.__getitem__, order)),
+        tuple(map(census.users.__getitem__, order)),
+    )
 
 
 def _surplus_per_user(params: SystemParams, session_count: int, total_users: int) -> float:
@@ -258,8 +329,9 @@ def equal_share_allocate(
     """Equal-share allocation keyed by the census's session ids."""
     rate = equal_share_rate(params, census.session_count)
     regime = classify_regime(params, census.session_count)
-    entries = tuple(SessionRate(entry.session_id, rate) for entry in census.entries)
-    return Allocation(Scheme.EQUAL_SHARE, regime, entries)
+    return Allocation.from_columns(
+        Scheme.EQUAL_SHARE, regime, census.session_ids, (rate,) * census.session_count
+    )
 
 
 def popularity_allocate(

@@ -12,6 +12,7 @@ import functools
 import json
 import os
 from collections.abc import Callable, Iterable, Iterator, Sequence
+from itertools import chain, repeat
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
 from typing import Any
@@ -27,7 +28,10 @@ def _require(doc: dict, key: str, kind: type, where: str) -> Any:
         raise DocumentError(f"{where}: missing required field {key!r}")
     value = doc[key]
     if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
+        try:
+            value = float(value)
+        except OverflowError:
+            raise DocumentError(f"{where}: field {key!r} is beyond the float range") from None
     if not isinstance(value, kind) or isinstance(value, bool):
         raise DocumentError(f"{where}: field {key!r} must be {kind.__name__}")
     return value
@@ -90,22 +94,30 @@ def allocation_document(params: SystemParams, snapshot: Snapshot) -> dict:
     equal-share rate and the comparison of both schemes."""
     evaluation = snapshot.evaluation
     allocation = evaluation.allocation
-    index = {entry.session_id: i for i, entry in enumerate(allocation.entries)}
+    census = snapshot.census
+    max_rate = evaluation.params.max_session_rate
+    fields = {
+        rate: (rate / MBPS, rate / max_rate, count, granted / MBPS, residual / MBPS)
+        for rate, (count, granted, residual) in snapshot.plans.by_rate.items()
+    }
+    # The rank of each census position: the inverse of the rank order.
+    ranks = sorted(range(len(evaluation.order)), key=evaluation.order.__getitem__)
     sessions = []
-    for entry in snapshot.census.entries:
-        i = index[entry.session_id]
-        plan = snapshot.plans[i]
+    for sid, users, rank in zip(census.session_ids, census.users, ranks):
+        rate_mbps, satisfaction, count, granted_mbps, residual_mbps = fields[
+            allocation.session_rates[rank]
+        ]
         sessions.append(
             {
-                "id": entry.session_id,
-                "users": entry.users,
-                "rank": i + 1,
-                "rate_mbps": allocation.entries[i].rate / MBPS,
-                "satisfaction": evaluation.per_session[entry.session_id],
+                "id": sid,
+                "users": users,
+                "rank": rank + 1,
+                "rate_mbps": rate_mbps,
+                "satisfaction": satisfaction,
                 "layers": {
-                    "enhancements": plan.enhancement_count,
-                    "granted_mbps": plan.granted_rate / MBPS,
-                    "residual_mbps": plan.residual_rate / MBPS,
+                    "enhancements": count,
+                    "granted_mbps": granted_mbps,
+                    "residual_mbps": residual_mbps,
                 },
             }
         )
@@ -168,43 +180,46 @@ def trace_text(events: Iterable[SimEvent]) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def census_to_list(census: SessionCensus) -> list[dict]:
-    return [{"id": e.session_id, "users": e.users} for e in census.entries]
-
-
-def snapshot_to_dict(snapshot: Snapshot) -> dict:
-    """Flatten one snapshot for JSON output, rates in Mbps."""
+def _snapshot_head(snapshot: Snapshot) -> dict:
+    """A snapshot's document without its three row lists, rates in Mbps."""
     evaluation = snapshot.evaluation
-    pop_sat = evaluation.per_session
     comparison = evaluation.comparison
     doc = {
         "t": snapshot.time,
-        "regime": snapshot.popularity.regime.value,
-        "census": census_to_list(snapshot.census),
-        "popularity": [
-            {
-                "id": entry.session_id,
-                "rate_mbps": entry.rate / MBPS,
-                "satisfaction": pop_sat[entry.session_id],
-            }
-            for entry in snapshot.popularity.entries
-        ],
+        "regime": evaluation.allocation.regime.value,
         "equal_share": {
             "rate_mbps": evaluation.equal_share_rate / MBPS,
             "satisfaction": comparison.avg_satisfaction_equal,
         },
         **_scores(comparison),
-        "plans": [
-            {
-                "id": plan.session_id,
-                "enhancements": plan.enhancement_count,
-                "granted_mbps": plan.granted_rate / MBPS,
-                "residual_mbps": plan.residual_rate / MBPS,
-            }
-            for plan in snapshot.plans
-        ],
     }
     doc["comparison"]["delta_avg"] = comparison.delta_avg
+    return doc
+
+
+def snapshot_to_dict(snapshot: Snapshot) -> dict:
+    """Flatten one snapshot for JSON output, rates in Mbps."""
+    doc = _snapshot_head(snapshot)
+    pop_sat = snapshot.evaluation.per_session
+    census = snapshot.census
+    doc["census"] = [{"id": sid, "users": users} for sid, users in zip(census.session_ids, census.users)]
+    doc["popularity"] = [
+        {
+            "id": entry.session_id,
+            "rate_mbps": entry.rate / MBPS,
+            "satisfaction": pop_sat[entry.session_id],
+        }
+        for entry in snapshot.popularity.entries
+    ]
+    doc["plans"] = [
+        {
+            "id": plan.session_id,
+            "enhancements": plan.enhancement_count,
+            "granted_mbps": plan.granted_rate / MBPS,
+            "residual_mbps": plan.residual_rate / MBPS,
+        }
+        for plan in snapshot.plans
+    ]
     return doc
 
 
@@ -237,9 +252,78 @@ def trace_result_chunks(
     every rejection before the first snapshot."""
     rows = _json_chunks(_rejection_rows(rejections), 1)
     yield '{\n  "rejections": ' + "".join(rows) + ',\n  "snapshots": ['
+    write = _SnapshotWriter()
     for i, snapshot in enumerate(snapshots):
-        yield ("," if i else "") + "\n    " + "".join(_json_chunks(snapshot_to_dict(snapshot), 2))
+        yield ("," if i else "") + "\n    " + write(snapshot)
     yield "\n  ]\n}\n"
+
+
+class _Text(str):
+    """JSON text already written for its place in the document."""
+
+
+class _Memo(dict):
+    """``make(key)`` for each key, made once and kept."""
+
+    def __init__(self, make: Callable[[Any], str]) -> None:
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key: Any) -> str:
+        text = self[key] = self.make(key)
+        return text
+
+
+class _SnapshotWriter:
+    """:func:`snapshot_to_dict`'s text at depth 2, its three row lists
+    written from the snapshot's columns with no row dicts.
+
+    Each row is three pieces of text: the row's text before the session id,
+    the id's JSON text, and the rest. Pieces that recur from one snapshot to
+    the next (each id, each audience count, each layer stack) are made once
+    per writer; those of a rate once per distinct rate in a snapshot.
+    """
+
+    def __init__(self) -> None:
+        # Rates lie between floor and cap, so every float here is finite.
+        self.ids = _Memo(json.dumps)
+        self.users = _Memo(lambda users: _CENSUS_ROW[1] % _TEXT[int](users))
+        self.stacks = _Memo(
+            lambda stack: _PLAN_ROW[0] % (_TEXT[int](stack[0]), _TEXT[float](stack[1] / MBPS))
+        )
+
+    def __call__(self, snapshot: Snapshot) -> str:
+        evaluation = snapshot.evaluation
+        rates = evaluation.allocation.session_rates
+        max_rate = evaluation.params.max_session_rate
+        text = _TEXT[float]
+        popularity, stacks, residuals = {}, {}, {}
+        for rate, plan in snapshot.plans.by_rate.items():
+            popularity[rate] = _POPULARITY_ROW[1] % (text(rate / MBPS), text(rate / max_rate))
+            stacks[rate] = self.stacks[plan[:2]]
+            residuals[rate] = _PLAN_ROW[1] % text(plan[2] / MBPS)
+        ranked_ids = list(map(self.ids.__getitem__, evaluation.allocation.session_ids))
+        census = snapshot.census
+        doc = _snapshot_head(snapshot)
+        doc["census"] = _rows(
+            repeat(_CENSUS_ROW[0]),
+            map(self.ids.__getitem__, census.session_ids),
+            map(self.users.__getitem__, census.users),
+        )
+        doc["popularity"] = _rows(
+            repeat(_POPULARITY_ROW[0]), ranked_ids, map(popularity.__getitem__, rates)
+        )
+        doc["plans"] = _rows(
+            map(stacks.__getitem__, rates), ranked_ids, map(residuals.__getitem__, rates)
+        )
+        return "".join(_json_chunks(doc, 2))
+
+
+def _rows(*columns: Iterable[str]) -> _Text:
+    """A snapshot's row list, written at depth 3 from ``columns`` of text
+    pieces; each row's first piece opens with the separator."""
+    text = "".join(chain.from_iterable(zip(*columns)))
+    return _Text("[" + text[1:] + "\n      ]")
 
 
 _CONTAINERS = frozenset((dict, list, tuple))
@@ -304,6 +388,20 @@ def _row_template(
     return "{" + inner + ("," + inner).join(fields) + outer + "}"
 
 
+def _id_split(*keys: str) -> tuple[str, str]:
+    """A row of ``keys`` in a snapshot's lists, led by the separator, as two
+    ``%`` templates: the text before the ``id`` value and after it."""
+    row = ",\n        " + _row_template([dict.fromkeys(keys, 0)], 4, [], False)
+    pieces = row.split("%s")
+    at = sorted(keys).index("id") + 1
+    return "%s".join(pieces[:at]), "%s".join(pieces[at:])
+
+
+_CENSUS_ROW = _id_split("id", "users")
+_POPULARITY_ROW = _id_split("id", "rate_mbps", "satisfaction")
+_PLAN_ROW = _id_split("id", "enhancements", "granted_mbps", "residual_mbps")
+
+
 def dump_json(doc: Any) -> str:
     """Exactly ``json.dumps(doc, sort_keys=True, indent=2) + "\n"``, faster.
 
@@ -322,43 +420,51 @@ def dump_json(doc: Any) -> str:
 
 
 def _json_chunks(doc: Any, depth: int) -> list[str]:
-    """:func:`dump_json`'s text for ``doc`` at ``depth``, unjoined, no final newline."""
+    """:func:`dump_json`'s text for ``doc`` at ``depth``, unjoined, no final
+    newline. A :class:`_Text` value is taken as its own text at its place."""
     out: list[str] = []
-
-    def write(o: Any, depth: int) -> None:
-        kind = type(o)
-        if kind in _PLAIN or (kind in _CONTAINERS and not o):
-            out.append("".join(_chunk_encoder(",")(o, 0)))
-            return
-        outer, inner = "\n" + "  " * depth, "\n" + "  " * (depth + 1)
-        if kind not in _CONTAINERS or (kind is dict and not _STR.issuperset(map(type, o))):
-            out.append(json.dumps(o, sort_keys=True, indent=2).replace("\n", outer))
-            return
-        if _PLAIN.issuperset(map(type, o.values() if kind is dict else o)):
-            text = "".join(_chunk_encoder("," + inner)(o, 0))
-            out.extend((text[0], inner, text[1:-1], outer, text[-1]))
-            return
-        columns: list[list[str]] = []
-        if kind is not dict and (template := _row_template(o, depth + 1, columns, True)):
-            rows = map(template.__mod__, zip(*columns))
-            out.extend(("[", inner, ("," + inner).join(rows), outer, "]"))
-            return
-        if kind is dict:
-            opener, closer = "{", "}"
-            items = [
-                (inner + encode_basestring_ascii(key) + ": ", value)
-                for key, value in sorted(o.items())
-            ]
-        else:
-            opener, closer = "[", "]"
-            items = [(inner, value) for value in o]
-        for i, (head, value) in enumerate(items):
-            out.append(("," if i else opener) + head)
-            write(value, depth + 1)
-        out.extend((outer, closer))
-
-    write(doc, depth)
+    _write_json(doc, depth, out)
     return out
+
+
+def _write_json(o: Any, depth: int, out: list[str]) -> None:
+    """Append :func:`_json_chunks`'s text for ``o`` at ``depth`` to ``out``.
+    A module-level function, not a closure over ``out``: a recursive closure
+    is a reference cycle, which would keep ``out`` and its text alive until
+    the cyclic collector runs."""
+    kind = type(o)
+    if kind is _Text:
+        out.append(o)
+        return
+    if kind in _PLAIN or (kind in _CONTAINERS and not o):
+        out.append("".join(_chunk_encoder(",")(o, 0)))
+        return
+    outer, inner = "\n" + "  " * depth, "\n" + "  " * (depth + 1)
+    if kind not in _CONTAINERS or (kind is dict and not _STR.issuperset(map(type, o))):
+        out.append(json.dumps(o, sort_keys=True, indent=2).replace("\n", outer))
+        return
+    if _PLAIN.issuperset(map(type, o.values() if kind is dict else o)):
+        text = "".join(_chunk_encoder("," + inner)(o, 0))
+        out.extend((text[0], inner, text[1:-1], outer, text[-1]))
+        return
+    columns: list[list[str]] = []
+    if kind is not dict and (template := _row_template(o, depth + 1, columns, True)):
+        rows = map(template.__mod__, zip(*columns))
+        out.extend(("[", inner, ("," + inner).join(rows), outer, "]"))
+        return
+    if kind is dict:
+        opener, closer = "{", "}"
+        items = [
+            (inner + encode_basestring_ascii(key) + ": ", value)
+            for key, value in sorted(o.items())
+        ]
+    else:
+        opener, closer = "[", "]"
+        items = [(inner, value) for value in o]
+    for i, (head, value) in enumerate(items):
+        out.append(("," if i else opener) + head)
+        _write_json(value, depth + 1, out)
+    out.extend((outer, closer))
 
 
 def write_text_atomic(path: Path | str, text: str | Iterable[str]) -> None:

@@ -71,34 +71,65 @@ def check_profile_fits(params: SystemParams, profile: LayerProfile) -> None:
         )
 
 
-def quantize_allocation(
-    allocation: Allocation, profile: LayerProfile
-) -> list[LayeredPlan]:
-    """Largest whole-layer stack at or below each session's allocated rate.
+class LayerPlans(Sequence[LayeredPlan]):
+    """The layer plans of an allocation: ``by_rate`` maps each distinct
+    rate to its ``(enhancement_count, granted_rate, residual_rate)``. As a
+    sequence it is a read-only view of one :class:`LayeredPlan` per session,
+    in the allocation's entry order, each built when it is read."""
 
-    Plans come back in the allocation's entry order (rank order for
-    popularity allocations). Raises :class:`ProfileInfeasible` if the base
-    layer alone exceeds some session's rate.
+    def __init__(
+        self, allocation: Allocation, by_rate: dict[float, tuple[int, float, float]]
+    ) -> None:
+        self.allocation = allocation
+        self.by_rate = by_rate
+
+    def __len__(self) -> int:
+        return len(self.allocation.session_ids)
+
+    def __getitem__(self, index: int | slice) -> LayeredPlan | tuple[LayeredPlan, ...]:
+        if isinstance(index, slice):
+            return tuple(self)[index]
+        allocation = self.allocation
+        plan = self.by_rate[allocation.session_rates[index]]
+        return LayeredPlan(allocation.session_ids[index], *plan)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, LayerPlans):
+            return NotImplemented
+        return list(self) == list(other)
+
+
+def quantize_allocation(allocation: Allocation, profile: LayerProfile) -> LayerPlans:
+    """Largest whole-layer stack at or below each session's allocated rate,
+    found once per distinct rate.
+
+    Plans read in the allocation's entry order (rank order for popularity
+    allocations). Raises :class:`ProfileInfeasible`, naming the first such
+    session in that order, if the base layer alone exceeds some session's
+    rate.
     """
-    plans: list[LayeredPlan] = []
-    for entry in allocation.entries:
-        if profile.base_rate > entry.rate:
+    base, step = profile.base_rate, profile.enhancement_rate
+    rates = allocation.session_rates
+    by_rate: dict[float, tuple[int, float, float]] = {}
+    # Distinct rates in order of first appearance, so the first one that
+    # fails belongs to the first session that fails.
+    for rate in dict.fromkeys(rates):
+        if base > rate:
+            sid = allocation.session_ids[rates.index(rate)]
             raise ProfileInfeasible(
-                f"base layer {profile.base_rate / MBPS:g} Mbps exceeds the "
-                f"{entry.rate / MBPS:g} Mbps allocated to session {entry.session_id!r}"
+                f"base layer {base / MBPS:g} Mbps exceeds the "
+                f"{rate / MBPS:g} Mbps allocated to session {sid!r}"
             )
-        count = int((entry.rate - profile.base_rate) // profile.enhancement_rate)
+        count = int((rate - base) // step)
         # Division can land one off at exact-fit boundaries; settle on the
         # true maximum under float evaluation.
-        while profile.base_rate + (count + 1) * profile.enhancement_rate <= entry.rate:
+        while base + (count + 1) * step <= rate:
             count += 1
-        while count > 0 and profile.base_rate + count * profile.enhancement_rate > entry.rate:
+        while count > 0 and base + count * step > rate:
             count -= 1
-        granted = profile.base_rate + count * profile.enhancement_rate
-        plans.append(
-            LayeredPlan(entry.session_id, count, granted, entry.rate - granted)
-        )
-    return plans
+        granted = base + count * step
+        by_rate[rate] = (count, granted, rate - granted)
+    return LayerPlans(allocation, by_rate)
 
 
 def plan_total_rate(plans: Iterable[LayeredPlan] | Sequence[LayeredPlan]) -> float:

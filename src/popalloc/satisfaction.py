@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 from .allocation import (
     MBPS,
@@ -16,13 +17,12 @@ from .allocation import (
     Regime,
     Scheme,
     SessionCensus,
-    SessionRate,
     SurplusLedger,
     SystemParams,
     classify_regime,
     equal_share_rate,
     popularity_allocate,
-    rank_sessions,
+    rank_order,
 )
 from .errors import ZeroAudience
 
@@ -58,20 +58,28 @@ class SchemeComparison:
 
 @dataclass(frozen=True)
 class Evaluation:
-    """Both schemes scored on one census.
+    """Both schemes scored on one census under ``params``.
 
-    ``allocation`` is the popularity allocation in rank order, with the
-    cascade's ``ledger``; ``equal_share_rate`` is the one rate every session
-    gets under equal share; ``per_session`` is each session's popularity
-    satisfaction, in rank order; ``comparison`` holds both audience-weighted
-    averages and the improved/degraded/unchanged tallies.
+    ``order`` holds the census positions in rank order; ``allocation`` is
+    the popularity allocation in that order, with the cascade's ``ledger``;
+    ``equal_share_rate`` is the one rate every session gets under equal
+    share; ``comparison`` holds both audience-weighted averages and the
+    improved/degraded/unchanged tallies. ``per_session``, each session's
+    popularity satisfaction in rank order, is built on first use.
     """
 
+    params: SystemParams
+    order: tuple[int, ...]
     allocation: Allocation
     ledger: SurplusLedger
     equal_share_rate: float
-    per_session: dict[str, float]
     comparison: SchemeComparison
+
+    @cached_property
+    def per_session(self) -> dict[str, float]:
+        max_rate = self.params.max_session_rate
+        rates = self.allocation.session_rates
+        return {sid: rate / max_rate for sid, rate in zip(self.allocation.session_ids, rates)}
 
 
 def equal_share_satisfaction(params: SystemParams, session_count: int) -> float:
@@ -162,17 +170,15 @@ def evaluate(params: SystemParams, census: SessionCensus) -> Evaluation:
     fallback is the even split. Propagates :class:`InfeasibleCapacity` when
     the floor does not fit.
     """
-    ranked = rank_sessions(census).entries
-    users = [entry.users for entry in ranked]
+    order = rank_order(census)
+    users = list(map(census.users.__getitem__, order))
     rates, ledger = popularity_allocate(params, users)
-    ids = [entry.session_id for entry in ranked]
-    regime = classify_regime(params, len(ids))
-    allocation = Allocation(Scheme.POPULARITY, regime, tuple(map(SessionRate, ids, rates)))
-    max_rate = params.max_session_rate
-    per_session = {sid: rate / max_rate for sid, rate in zip(ids, rates)}
-    eq_rate = equal_share_rate(params, len(ids))
+    ids = map(census.session_ids.__getitem__, order)
+    regime = classify_regime(params, len(order))
+    allocation = Allocation.from_columns(Scheme.POPULARITY, regime, ids, rates)
+    eq_rate = equal_share_rate(params, len(order))
     comparison = _compare(params, eq_rate, users, rates)
-    return Evaluation(allocation, ledger, eq_rate, per_session, comparison)
+    return Evaluation(params, tuple(order), allocation, ledger, eq_rate, comparison)
 
 
 def compare_schemes(params: SystemParams, census: SessionCensus) -> SchemeComparison:

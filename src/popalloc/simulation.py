@@ -30,7 +30,7 @@ from .errors import (
     TraceOrder,
     UnknownSession,
 )
-from .layers import LayeredPlan, LayerProfile, quantize_allocation
+from .layers import LayerPlans, LayerProfile, quantize_allocation
 from .satisfaction import Evaluation, SchemeComparison, evaluate
 
 
@@ -68,12 +68,16 @@ class SimEvent:
 class Snapshot:
     """The census at one instant plus everything derived from it: the
     evaluation of both schemes and the layer plans of the popularity
-    allocation. The simulator's state is its latest snapshot."""
+    allocation. The simulator's state is its latest snapshot.
+
+    Census, allocation and plans are held as columns (ids, counts, rates,
+    one plan per distinct rate); their per-session records are views built
+    only when read."""
 
     time: float
     census: SessionCensus
     evaluation: Evaluation
-    plans: tuple[LayeredPlan, ...]
+    plans: LayerPlans
 
     @property
     def popularity(self) -> Allocation:
@@ -92,8 +96,7 @@ class Snapshot:
         time: float = 0.0,
     ) -> Snapshot:
         evaluation = evaluate(params, census)
-        plans = tuple(quantize_allocation(evaluation.allocation, profile))
-        return cls(time, census, evaluation, plans)
+        return cls(time, census, evaluation, quantize_allocation(evaluation.allocation, profile))
 
 
 # The older name for the simulator's state; perfbench's layer tracer wraps
@@ -174,7 +177,8 @@ def apply_event(
     """
     counts = state.census.counts()
     _apply_counts(counts, event, params, state.census.total_users)
-    return Snapshot.from_census(SessionCensus.from_counts(counts), params, profile, event.time)
+    census = SessionCensus._of(tuple(counts), tuple(counts.values()))
+    return Snapshot.from_census(census, params, profile, event.time)
 
 
 def stream_trace(

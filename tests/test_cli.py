@@ -122,6 +122,26 @@ def test_allocate_audience_beyond_float_range_exits_3(tmp_path, capsys, counts, 
     assert captured.out == ""
 
 
+# A JSON integer of 401 digits, which no float holds.
+HUGE_NUMBER = 10**400
+
+
+@pytest.mark.parametrize("field", ["capacity_mbps", "beta_max_mbps", "beta_min_mbps"])
+@pytest.mark.parametrize("to_stdout", [False, True], ids=["out", "stdout"])
+def test_allocate_float_field_beyond_float_range_exits_3(tmp_path, capsys, field, to_stdout):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({**scenario_doc(), field: HUGE_NUMBER}))
+    out = tmp_path / "allocation.json"
+    out.write_text("previous run\n")
+    argv = ["allocate", "--input", str(path)]
+    assert main(argv if to_stdout else [*argv, "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == f"error: scenario: field {field!r} is beyond the float range\n"
+    assert captured.out == ""
+    assert out.read_text() == "previous run\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["allocation.json", "scenario.json"]
+
+
 @pytest.mark.parametrize("command", ["allocate", "sweep"])
 def test_users_beyond_int64_exits_3(tmp_path, capsys, command):
     # numpy's multinomial, which draws the census, takes a C int64 count.
@@ -292,8 +312,13 @@ def simulate_inputs(tmp_path, counts=(5, 3), trace="", capacity=30):
         ({"trace": JOIN_AT_2 + JOIN_AT_1}, 3),
         ({"trace": JOIN_AT_1 + '{"t": 2.0, "ev": "hop", "s": "s01"}\n'}, 3),
         *(({"counts": counts}, 3) for counts in HUGE_COUNTS),
+        ({"capacity": HUGE_NUMBER}, 3),
+        ({"trace": JOIN_AT_1 + f'{{"t": {HUGE_NUMBER}, "ev": "join", "s": "s01"}}\n'}, 3),
     ],
-    ids=["infeasible", "trace-order", "bad-trace-line", "huge-audience", "huge-audience-sum"],
+    ids=[
+        "infeasible", "trace-order", "bad-trace-line", "huge-audience", "huge-audience-sum",
+        "huge-capacity", "huge-time",
+    ],
 )
 @pytest.mark.parametrize("to_stdout", [False, True], ids=["out", "stdout"])
 def test_simulate_input_error_writes_nothing(tmp_path, capsys, case, code, to_stdout):
@@ -307,6 +332,20 @@ def test_simulate_input_error_writes_nothing(tmp_path, capsys, case, code, to_st
     assert captured.err.startswith("error: ") and "Traceback" not in captured.err
     assert out.read_text() == "previous run\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == SIMULATE_FILES
+
+
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        ({"capacity": HUGE_NUMBER}, "scenario: field 'capacity_mbps'"),
+        ({"trace": JOIN_AT_1 + f'{{"t": {HUGE_NUMBER}, "ev": "join", "s": "s01"}}\n'},
+         "trace line 2: field 't'"),
+    ],
+    ids=["scenario", "trace"],
+)
+def test_simulate_number_beyond_float_range_exits_3(tmp_path, capsys, case, message):
+    assert main(simulate_inputs(tmp_path, **case)) == 3
+    assert capsys.readouterr().err == f"error: {message} is beyond the float range\n"
 
 
 def test_failed_simulate_keeps_existing_output(tmp_path, monkeypatch, capsys):

@@ -307,6 +307,25 @@ def test_golden_simulate_rejections_json(tmp_path, capsys, to_stdout):
     assert text == (DATA / "rejections_m3.expected.json").read_bytes()
 
 
+@pytest.mark.parametrize("to_stdout", [False, True], ids=["out", "stdout"])
+def test_golden_simulate_m300_json(tmp_path, capsys, to_stdout):
+    # 300 zipf sessions at 300 Mbps, listed out of id order: 14 capped
+    # ranks, 35 distinct audiences (38 sessions empty), and ids that JSON
+    # escapes. The trace joins and switches between tied sessions, starts an
+    # empty session, rejects a leave from it, stops it and lowers the top
+    # session. The expected file was written by the CLI that still built a
+    # row dict per session.
+    out = tmp_path / "run.json"
+    argv = [
+        "simulate",
+        "--input", str(DATA / "churn_m300_zipf_scenario.json"),
+        "--trace", str(DATA / "churn_m300_zipf_trace.jsonl"),
+    ]
+    assert main(argv if to_stdout else [*argv, "--out", str(out)]) == 0
+    text = capsys.readouterr().out.encode() if to_stdout else out.read_bytes()
+    assert text == (DATA / "churn_m300_zipf.expected.json").read_bytes()
+
+
 def test_golden_sweep_outputs(tmp_path):
     # C=30, cap=2, floor=0.6 Mbps: M 14-15 saturated, 16-50 constrained,
     # 51-52 skipped as infeasible.

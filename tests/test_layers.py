@@ -6,6 +6,7 @@ from hypothesis import example, given
 
 from popalloc import (
     Allocation,
+    LayeredPlan,
     LayerProfile,
     ProfileInfeasible,
     Regime,
@@ -198,3 +199,43 @@ def test_layer_count_matches_linear_search(rates, profile):
         assert plan.enhancement_count == max_whole_layers(
             rate * 1e6, profile.base_rate, profile.enhancement_rate
         )
+
+
+def per_entry_plans(allocation, profile):
+    """The quantizer as a loop over the entries, each quantized on its own."""
+    base, step = profile.base_rate, profile.enhancement_rate
+    plans = []
+    for entry in allocation.entries:
+        if base > entry.rate:
+            raise ProfileInfeasible(
+                f"base layer {base / 1e6:g} Mbps exceeds the {entry.rate / 1e6:g} "
+                f"Mbps allocated to session {entry.session_id!r}"
+            )
+        count = int((entry.rate - base) // step)
+        while base + (count + 1) * step <= entry.rate:
+            count += 1
+        while count > 0 and base + count * step > entry.rate:
+            count -= 1
+        granted = base + count * step
+        plans.append(LayeredPlan(entry.session_id, count, granted, entry.rate - granted))
+    return plans
+
+
+@given(st.data(), profiles)
+def test_quantizer_per_distinct_rate_matches_per_entry_loop(data, profile):
+    # A few distinct rates, some possibly below the base layer, each repeated
+    # and in any order.
+    pool = data.draw(st.lists(st.floats(0.05, 4.0), min_size=1, max_size=6))
+    rates = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=30))
+    allocation = allocation_of(rates)
+    try:
+        want = per_entry_plans(allocation, profile)
+    except ProfileInfeasible as exc:
+        with pytest.raises(ProfileInfeasible) as got:
+            quantize_allocation(allocation, profile)
+        assert str(got.value) == str(exc)
+        return
+    plans = quantize_allocation(allocation, profile)
+    assert list(plans) == want
+    assert [plans[i] for i in range(len(plans))] == want
+    assert len(plans.by_rate) == len(set(rates))
