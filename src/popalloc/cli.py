@@ -20,8 +20,7 @@ from .errors import (
     TraceOrder,
 )
 from .formats import (
-    allocation_document,
-    dump_json,
+    allocation_chunks,
     load_trace,
     parse_scenario_document,
     trace_result_chunks,
@@ -195,7 +194,7 @@ def cmd_allocate(args: argparse.Namespace) -> int:
     profile = _resolve_profile(args, params)
 
     snapshot = Snapshot.from_census(census, params, profile)
-    _write_output((dump_json(allocation_document(params, snapshot)),), args.out)
+    _write_output(allocation_chunks(params, snapshot), args.out)
     return EXIT_OK
 
 

@@ -17,9 +17,9 @@ from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
 from typing import Any
 
-from .allocation import MBPS, SessionCensus, SystemParams
+from .allocation import MAX_TOTAL_USERS, MBPS, SessionCensus, SystemParams
 from .errors import DocumentError
-from .satisfaction import SchemeComparison
+from .satisfaction import Evaluation, SchemeComparison
 from .simulation import EventKind, RejectedEvent, SimEvent, Snapshot, TraceResult
 
 
@@ -57,19 +57,38 @@ def parse_scenario_document(text: str) -> tuple[SystemParams, SessionCensus]:
     sessions = _require(doc, "sessions", list, "scenario")
     if not sessions:
         raise DocumentError("scenario: 'sessions' must not be empty")
-    entries = []
-    for i, item in enumerate(sessions):
-        if not isinstance(item, dict):
-            raise DocumentError(f"scenario: sessions[{i}] must be an object")
-        sid = _require(item, "id", str, f"sessions[{i}]")
-        users = _require(item, "users", int, f"sessions[{i}]")
-        entries.append((sid, users))
+    census = _census_of(sessions)
+    if census is None:
+        # Some item is bad: check item by item, which names the first one.
+        entries = []
+        for i, item in enumerate(sessions):
+            if not isinstance(item, dict):
+                raise DocumentError(f"scenario: sessions[{i}] must be an object")
+            sid = _require(item, "id", str, f"sessions[{i}]")
+            users = _require(item, "users", int, f"sessions[{i}]")
+            entries.append((sid, users))
     try:
         params = SystemParams.from_mbps(capacity, beta_max, beta_min)
-        census = SessionCensus.from_counts(entries)
+        if census is None:
+            census = SessionCensus.from_counts(entries)
     except ValueError as exc:
         raise DocumentError(str(exc)) from exc
     return params, census
+
+
+def _census_of(sessions: list) -> SessionCensus | None:
+    """The census of decoded ``sessions`` if every item is a dict with an
+    ``id`` of type ``str`` and ``users`` of type ``int``, none negative, the
+    ids are unique and the total is at most ``MAX_TOTAL_USERS``; else None."""
+    if not _DICT.issuperset(map(type, sessions)):
+        return None
+    ids = tuple(item.get("id") for item in sessions)
+    users = tuple(item.get("users") for item in sessions)
+    if not (_STR.issuperset(map(type, ids)) and _INT.issuperset(map(type, users))):
+        return None
+    if min(users) < 0 or len(set(ids)) < len(ids) or sum(users) > MAX_TOTAL_USERS:
+        return None
+    return SessionCensus._of(ids, users)
 
 
 def _scores(comparison: SchemeComparison) -> dict:
@@ -88,24 +107,38 @@ def _scores(comparison: SchemeComparison) -> dict:
     }
 
 
+def _allocation_head(params: SystemParams, evaluation: Evaluation) -> dict:
+    """The one-shot output document without its session rows, rates in Mbps."""
+    return {
+        "capacity_mbps": params.capacity / MBPS,
+        "beta_max_mbps": params.max_session_rate / MBPS,
+        "beta_min_mbps": params.min_session_rate / MBPS,
+        "regime": evaluation.allocation.regime.value,
+        "equal_share_rate_mbps": evaluation.equal_share_rate / MBPS,
+        **_scores(evaluation.comparison),
+    }
+
+
+def _ranks(evaluation: Evaluation) -> list[int]:
+    """The rank of each census position: the inverse of the rank order."""
+    return sorted(range(len(evaluation.order)), key=evaluation.order.__getitem__)
+
+
 def allocation_document(params: SystemParams, snapshot: Snapshot) -> dict:
     """One-shot output: the input document mirrored, each session annotated
     with its allocated rate, satisfaction, and layer plan, followed by the
     equal-share rate and the comparison of both schemes."""
     evaluation = snapshot.evaluation
-    allocation = evaluation.allocation
-    census = snapshot.census
     max_rate = evaluation.params.max_session_rate
     fields = {
         rate: (rate / MBPS, rate / max_rate, count, granted / MBPS, residual / MBPS)
         for rate, (count, granted, residual) in snapshot.plans.by_rate.items()
     }
-    # The rank of each census position: the inverse of the rank order.
-    ranks = sorted(range(len(evaluation.order)), key=evaluation.order.__getitem__)
     sessions = []
-    for sid, users, rank in zip(census.session_ids, census.users, ranks):
+    census = snapshot.census
+    for sid, users, rank in zip(census.session_ids, census.users, _ranks(evaluation)):
         rate_mbps, satisfaction, count, granted_mbps, residual_mbps = fields[
-            allocation.session_rates[rank]
+            evaluation.allocation.session_rates[rank]
         ]
         sessions.append(
             {
@@ -121,15 +154,38 @@ def allocation_document(params: SystemParams, snapshot: Snapshot) -> dict:
                 },
             }
         )
-    return {
-        "capacity_mbps": params.capacity / MBPS,
-        "beta_max_mbps": params.max_session_rate / MBPS,
-        "beta_min_mbps": params.min_session_rate / MBPS,
-        "regime": allocation.regime.value,
-        "sessions": sessions,
-        "equal_share_rate_mbps": evaluation.equal_share_rate / MBPS,
-        **_scores(evaluation.comparison),
-    }
+    doc = _allocation_head(params, evaluation)
+    doc["sessions"] = sessions
+    return doc
+
+
+def allocation_chunks(params: SystemParams, snapshot: Snapshot) -> list[str]:
+    """``dump_json(allocation_document(params, snapshot))`` in pieces, the
+    session rows written from the snapshot's columns with no row dicts: the
+    text of each distinct rate and each distinct audience is made once."""
+    evaluation = snapshot.evaluation
+    max_rate = evaluation.params.max_session_rate
+    # Rates lie between floor and cap, so every float here is finite.
+    text = _TEXT[float]
+    layers, scores = {}, {}
+    for rate, (count, granted, residual) in snapshot.plans.by_rate.items():
+        plan = (_TEXT[int](count), text(granted / MBPS), text(residual / MBPS))
+        layers[rate] = _SESSION_ROW[1] % plan
+        scores[rate] = _SESSION_ROW[2] % (text(rate / MBPS), text(rate / max_rate))
+    ranks = _ranks(evaluation)
+    rates = list(map(evaluation.allocation.session_rates.__getitem__, ranks))
+    census = snapshot.census
+    doc = _allocation_head(params, evaluation)
+    doc["sessions"] = _rows(
+        1,
+        repeat(_SESSION_ROW[0]),
+        map(encode_basestring_ascii, census.session_ids),
+        map(layers.__getitem__, rates),
+        map(_TEXT[int], map((1).__add__, ranks)),
+        map(scores.__getitem__, rates),
+        map(_Memo(lambda users: _TEXT[int](users) + _SESSION_ROW[3]).__getitem__, census.users),
+    )
+    return [*_json_chunks(doc, 0), "\n"]
 
 
 def parse_trace(text: str) -> list[SimEvent]:
@@ -307,15 +363,16 @@ class _SnapshotWriter:
         census = snapshot.census
         doc = _snapshot_head(snapshot)
         doc["census"] = _rows(
+            3,
             repeat(_CENSUS_ROW[0]),
             map(self.ids.__getitem__, census.session_ids),
             map(self.users.__getitem__, census.users),
         )
         doc["popularity"] = _rows(
-            repeat(_POPULARITY_ROW[0]), ranked_ids, map(popularity.__getitem__, rates)
+            3, repeat(_POPULARITY_ROW[0]), ranked_ids, map(popularity.__getitem__, rates)
         )
         doc["plans"] = _rows(
-            map(stacks.__getitem__, rates), ranked_ids, map(residuals.__getitem__, rates)
+            3, map(stacks.__getitem__, rates), ranked_ids, map(residuals.__getitem__, rates)
         )
         return _json_chunks(doc, 2)
 
@@ -328,18 +385,20 @@ class _SnapshotWriter:
 _ROWS_PER_BLOCK = 64
 
 
-def _rows(*columns: Iterable[str]) -> _Text:
-    """A snapshot's row list, written at depth 3 from ``columns`` of text
-    pieces; each row's first piece opens with the separator. There is at
-    least one row."""
+def _rows(depth: int, *columns: Iterable[str]) -> _Text:
+    """A row list at ``depth``, written from ``columns`` of text pieces;
+    each row's first piece opens with the separator. There is at least one
+    row."""
     pieces = list(chain.from_iterable(zip(*columns)))
     pieces[0] = "[" + pieces[0][1:]
-    pieces.append("\n      ]")
+    pieces.append("\n" + "  " * depth + "]")
     step = len(columns) * _ROWS_PER_BLOCK
     return _Text("".join(pieces[i : i + step]) for i in range(0, len(pieces), step))
 
 
 _CONTAINERS = frozenset((dict, list, tuple))
+_DICT = frozenset((dict,))
+_INT = frozenset((int,))
 _STR = frozenset((str,))
 # The stdlib's text for each plain type; a float's only when it is finite.
 _TEXT: dict[type, Callable[[Any], str]] = {
@@ -401,18 +460,28 @@ def _row_template(
     return "{" + inner + ("," + inner).join(fields) + outer + "}"
 
 
-def _id_split(*keys: str) -> tuple[str, str]:
-    """A row of ``keys`` in a snapshot's lists, led by the separator, as two
-    ``%`` templates: the text before the ``id`` value and after it."""
-    row = ",\n        " + _row_template([dict.fromkeys(keys, 0)], 4, [], False)
-    pieces = row.split("%s")
-    at = sorted(keys).index("id") + 1
-    return "%s".join(pieces[:at]), "%s".join(pieces[at:])
+def _id_split(depth: int, row: dict, *at: str) -> list[str]:
+    """A row at ``depth`` of ``row``'s keys, whose values are 0 or flat dicts
+    of 0, led by the separator, as ``%`` templates cut at the values of
+    ``id`` and of the keys ``at``, which come after it: the text before the
+    ``id`` value, between it and the next cut value, and so on."""
+    pieces = (",\n" + "  " * depth + _row_template([row], depth, [], True)).split("%s")
+    # The key whose value fills each slot; a nested dict fills one per field.
+    slots = [key for key, value in sorted(row.items()) for _ in (value or (0,))]
+    cuts = [slots.index(key) + 1 for key in ("id", *at)]
+    return ["%s".join(pieces[i:j]) for i, j in zip([0, *cuts], [*cuts, len(pieces)])]
 
 
-_CENSUS_ROW = _id_split("id", "users")
-_POPULARITY_ROW = _id_split("id", "rate_mbps", "satisfaction")
-_PLAN_ROW = _id_split("id", "enhancements", "granted_mbps", "residual_mbps")
+_CENSUS_ROW = _id_split(4, dict.fromkeys(("id", "users"), 0))
+_POPULARITY_ROW = _id_split(4, dict.fromkeys(("id", "rate_mbps", "satisfaction"), 0))
+_PLAN_FIELDS = dict.fromkeys(("enhancements", "granted_mbps", "residual_mbps"), 0)
+_PLAN_ROW = _id_split(4, {"id": 0, **_PLAN_FIELDS})
+# An allocate session row, cut at the rank and the users too: the text of a
+# rate fills the layer plan before the rank and the scores after it.
+_SESSION_ROW = _id_split(
+    2, {**dict.fromkeys(("id", "rank", "rate_mbps", "satisfaction", "users"), 0),
+        "layers": _PLAN_FIELDS}, "rank", "users"
+)
 
 
 def dump_json(doc: Any) -> str:

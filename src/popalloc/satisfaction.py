@@ -138,8 +138,13 @@ def _compare(
 ) -> SchemeComparison:
     """Score popularity ``rates`` against the equal share ``eq_rate``, both
     for sessions with ``users`` in rank order."""
+    max_rate = params.max_session_rate
     improved = degraded = unchanged = 0
+    # Summed left to right in rank order: builtin ``sum`` of floats is
+    # compensated from Python 3.12 on, which changes the last digits.
+    weighted = 0.0
     for count, rate in zip(users, rates):
+        weighted += rate / max_rate * count
         delta_mbps = (rate - eq_rate) / MBPS
         if abs(delta_mbps) <= RATE_TIE_TOLERANCE_MBPS:
             unchanged += count
@@ -152,8 +157,6 @@ def _compare(
     if total_users == 0:
         avg_popularity = avg_equal
     else:
-        max_rate = params.max_session_rate
-        weighted = sum(rate / max_rate * count for count, rate in zip(users, rates))
         avg_popularity = weighted / total_users
     return SchemeComparison(improved, degraded, unchanged, avg_equal, avg_popularity)
 

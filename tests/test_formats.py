@@ -1,10 +1,14 @@
+import contextlib
+import io
 import json
 import os
 import stat
+import tempfile
+from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 
 from popalloc import (
     DocumentError,
@@ -19,6 +23,7 @@ from popalloc import (
     run_trace,
     stream_trace,
 )
+from popalloc.allocation import MAX_TOTAL_USERS
 from popalloc.cli import main
 from popalloc.formats import (
     _row_template,
@@ -66,6 +71,59 @@ def test_parse_scenario_document():
 def test_bad_scenario_documents(text):
     with pytest.raises(DocumentError):
         parse_scenario_document(text)
+
+
+@pytest.mark.parametrize(
+    "sessions, message",
+    [
+        (["s1"], "scenario: sessions[0] must be an object"),
+        ([{"id": "s1", "users": 1}, [1]], "scenario: sessions[1] must be an object"),
+        ([{"users": 1}], "sessions[0]: missing required field 'id'"),
+        ([{"id": 7, "users": 1}], "sessions[0]: field 'id' must be str"),
+        ([{"id": "s1"}], "sessions[0]: missing required field 'users'"),
+        ([{"id": "s1", "users": 1.5}], "sessions[0]: field 'users' must be int"),
+        ([{"id": "s1", "users": True}], "sessions[0]: field 'users' must be int"),
+        (
+            [{"id": "s1", "users": -1}],
+            "user count must be a non-negative integer, got -1 for session 's1'",
+        ),
+        ([{"id": "s1", "users": 1}, {"id": "s1", "users": 2}], "duplicate session id 's1'"),
+        (
+            [{"id": "s1", "users": MAX_TOTAL_USERS}, {"id": "s2", "users": 1}],
+            "total audience is too large to convert to a float",
+        ),
+        # Two bad items: the first is named. Every item's types are checked
+        # before any count's sign, the ids' uniqueness or the total.
+        (
+            [{"id": "s1", "users": 1}, {"users": 1}, {"id": 3, "users": 1}],
+            "sessions[1]: missing required field 'id'",
+        ),
+        (
+            [{"id": "s1", "users": -2}, {"id": "s2", "users": -3}],
+            "user count must be a non-negative integer, got -2 for session 's1'",
+        ),
+        (
+            [{"id": "s1", "users": -1}, {"id": 3, "users": 1}],
+            "sessions[1]: field 'id' must be str",
+        ),
+        (
+            [{"id": "s1", "users": -2}, {"id": "s1", "users": 1}],
+            "user count must be a non-negative integer, got -2 for session 's1'",
+        ),
+    ],
+)
+def test_bad_scenario_sessions_messages(sessions, message):
+    doc = {"capacity_mbps": 30, "beta_max_mbps": 2, "beta_min_mbps": 0.6, "sessions": sessions}
+    with pytest.raises(DocumentError) as caught:
+        parse_scenario_document(json.dumps(doc))
+    assert str(caught.value) == message
+
+
+def test_bad_scenario_params_reported_before_session_values():
+    doc = {"capacity_mbps": -1, "beta_max_mbps": 2, "beta_min_mbps": 0.6,
+           "sessions": [{"id": "s1", "users": -2}, {"id": "s1", "users": 1}]}
+    with pytest.raises(DocumentError, match=r"^capacity must be positive, got -1000000\.0$"):
+        parse_scenario_document(json.dumps(doc))
 
 
 def test_trace_round_trip():
@@ -344,6 +402,54 @@ def test_dump_json_allocate_rows_at_scale():
     doc = allocation_document(params, Snapshot.from_census(census, params, PROFILE))
     assert _row_template(doc["sessions"], 2, [], True) is not None
     assert dump_json(doc) == stdlib_json(doc)
+
+
+@st.composite
+def scenarios(draw):
+    """An allocate scenario at cap 2 and floor 0.6 Mbps: 1-150 sessions (past
+    a 64-row block), ids listed in drawn order, some that JSON escapes or
+    not ASCII, audiences often tied, and capacity from near the floors' sum
+    to past every cap."""
+    ids = draw(st.lists(st.text(max_size=4) | st.sampled_from(TRICKY_TEXT),
+                        min_size=1, max_size=150, unique=True))
+    counts = draw(st.sampled_from([st.integers(0, 3), st.integers(0, 10**6), st.just(0)]))
+    share = draw(st.sampled_from([0.65, 1.0, 1.7, 2.0, 2.5]))
+    return {
+        "capacity_mbps": len(ids) * share, "beta_max_mbps": 2, "beta_min_mbps": 0.6,
+        "sessions": [{"id": sid, "users": draw(counts)} for sid in ids],
+    }
+
+
+def scenario_of(counts, share):
+    """A scenario of sessions ``s<i>`` listed in reverse id order."""
+    sessions = [{"id": f"s{i:03d}", "users": n} for i, n in enumerate(counts)][::-1]
+    return {"capacity_mbps": len(counts) * share, "beta_max_mbps": 2, "beta_min_mbps": 0.6,
+            "sessions": sessions}
+
+
+@given(scenarios())
+@example(scenario_of([7], 1.0))
+@example(scenario_of([5, 5, 3, 3, 3, 0] * 11 + [9], 1.0))
+@example(scenario_of([0] * 70, 1.0))
+@example(scenario_of([40, 10, 10, 1], 2.5))
+def test_allocate_output_matches_whole_document(scenario):
+    # The CLI writes the allocate document from the columns; the reference is
+    # the whole document through dump_json and through the stdlib.
+    text = json.dumps(scenario)
+    params, census = parse_scenario_document(text)
+    doc = allocation_document(params, Snapshot.from_census(census, params, PROFILE))
+    expected = dump_json(doc)
+    assert expected == stdlib_json(doc)
+    with tempfile.TemporaryDirectory() as tmp:
+        scenario_path, out = Path(tmp) / "scenario.json", Path(tmp) / "out.json"
+        scenario_path.write_text(text)
+        argv = ["allocate", "--input", str(scenario_path)]
+        assert main([*argv, "--out", str(out)]) == 0
+        assert out.read_bytes() == expected.encode()
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            assert main(argv) == 0
+        assert stdout.getvalue() == expected
 
 
 def test_streamed_snapshot_at_scale():

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given
 
@@ -17,6 +19,7 @@ from popalloc import (
     satisfaction_report,
     session_satisfaction,
 )
+from popalloc.satisfaction import _compare
 from test_allocation import census_of, constrained_setups
 
 
@@ -156,6 +159,21 @@ def test_compare_zero_audience(reference_params):
 def test_compare_propagates_infeasible(reference_params):
     with pytest.raises(InfeasibleCapacity):
         compare_schemes(reference_params, census_of([1] * 51))
+
+
+def test_compare_sums_left_to_right(reference_params):
+    # One huge session then four at half the cap: each half is below half an
+    # ulp of the running sum, so plain addition drops it and a compensated
+    # sum (builtin ``sum`` of floats from Python 3.12, ``math.fsum``) keeps it.
+    users = [10**16, 1, 1, 1, 1]
+    rates = [2e6, 1e6, 1e6, 1e6, 1e6]
+    terms = [rate / 2e6 * count for count, rate in zip(users, rates)]
+    plain = 0.0
+    for term in terms:
+        plain += term
+    assert math.fsum(terms) / sum(users) != plain / sum(users)
+    result = _compare(reference_params, 1.5e6, users, rates)
+    assert result.avg_satisfaction_popularity == plain / sum(users)
 
 
 def test_compare_user_totals_add_up(reference_params, worked_census):
